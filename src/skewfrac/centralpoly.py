@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .quaternion import DivisionRing
+from .quaternion import DivisionRing, power
 
 NEG_INF = float("-inf")
 
@@ -162,13 +162,7 @@ class CentralPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result, base = self.ring.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def scale_left(self, a) -> "CentralPoly":
         return CentralPoly(self.ring, tuple(a * c for c in self.coeffs))

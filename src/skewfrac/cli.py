@@ -7,6 +7,10 @@ selftest.  With no verb and piped input, reads one command per line
 from stdin (batch mode); batch lines may also be `let NAME = EXPR`,
 binding a name to a parsed expression for later lines.
 
+X-context expressions are evaluated straight into the coordinate ring
+H_c[t1..t4] (parser.COORD), never as formal words; `deg` alone needs a
+formal property, the X-degree, and reads it off the parsed expression.
+
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (division
 by zero, depth cap, unknown suite), 4 self-test failure.
 """
@@ -20,8 +24,8 @@ from fractions import Fraction
 from .centralpoly import CentralPoly, gcrd, lcrm_with_cofactors
 from .errors import DepthExceededError, ParseError, UnknownSuiteError
 from .fractionfield import HFRAC, component_decompose
-from .freealgebra import eval_free, sigma, vanishes
-from .parser import CONST, TCTX, XCTX, classify, evaluate, parse
+from .freealgebra import sigma  # noqa: F401  (re-exported; perfbench traces it here)
+from .parser import CONST, COORD, TCTX, XCTX, classify, evaluate, parse, x_degree
 from .quaternion import quat
 from .selftest import run_suite
 
@@ -80,6 +84,9 @@ def _split_options(argv):
                 setattr(opts, names[name], int(raw))
             except ValueError:
                 raise _UsageError(f"{name} expects an integer, got {raw!r}")
+        elif arg == "--":
+            pos.extend(argv[i + 1:])
+            break
         elif arg.startswith("--"):
             raise _UsageError(f"unknown option {arg}")
         else:
@@ -91,11 +98,22 @@ def _split_options(argv):
 # -- expression helpers -------------------------------------------------------
 
 def _eval_in(text: str, bindings, context=None):
+    value, found, _ = _eval_node(text, bindings, context)
+    return value, found
+
+
+def _eval_node(text: str, bindings, context=None):
+    """(value, context found, parsed node); X-context values are
+    coordinate polynomials."""
     node = parse(text, bindings)
     found = classify(node)
     if context is not None and found not in (CONST, context):
         raise ParseError(f"expected a {context} expression, found {found}", 1)
-    return evaluate(node, context or found), found
+    return evaluate(node, _domain(context or found)), found, node
+
+
+def _domain(context: str) -> str:
+    return COORD if context == XCTX else context
 
 
 def _rational_point(text: str, bindings) -> Fraction:
@@ -123,8 +141,8 @@ def _bool_word(b: bool) -> str:
 
 def _cmd_canon(args, opts, bindings, out):
     (expr,) = args
-    value, ctx = _eval_in(expr, bindings)
-    print(sigma(value) if ctx == XCTX else value, file=out)
+    value, _ = _eval_in(expr, bindings)
+    print(value, file=out)
 
 
 def _cmd_eval(args, opts, bindings, out):
@@ -142,7 +160,7 @@ def _cmd_eval(args, opts, bindings, out):
         q, found = _eval_in(pts[0], bindings, CONST)
         if found != CONST:
             raise _UsageError("the point must be a constant expression")
-        result = eval_free(value, q)
+        result = value.eval(*q.coords())
     elif ctx == TCTX:
         if len(pts) != 1:
             raise _UsageError("t-context eval takes one rational point")
@@ -170,9 +188,8 @@ def _cmd_eq(args, opts, bindings, out):
     else:
         raise ParseError(
             f"cannot compare a {c1} expression with a {c2} expression", 1)
-    v1, v2 = evaluate(n1, joint), evaluate(n2, joint)
-    equal = vanishes(v1 - v2) if joint == XCTX else v1 == v2
-    print(_bool_word(equal), file=out)
+    v1, v2 = evaluate(n1, _domain(joint)), evaluate(n2, _domain(joint))
+    print(_bool_word(v1 == v2), file=out)
 
 
 def _cmd_central(args, opts, bindings, out):
@@ -183,8 +200,7 @@ def _cmd_central(args, opts, bindings, out):
     elif ctx == TCTX:
         result = value.is_central()
     else:
-        parts = (sigma(value) if ctx == XCTX else value).components()
-        result = not any(parts[1:])
+        result = not any(value.components()[1:])
     print(_bool_word(result), file=out)
 
 
@@ -196,18 +212,18 @@ def _cmd_components(args, opts, bindings, out):
     elif ctx == TCTX:
         parts = component_decompose(value)
     else:
-        parts = (sigma(value) if ctx == XCTX else value).components()
+        parts = value.components()
     for p in parts:
         print(p, file=out)
 
 
 def _cmd_deg(args, opts, bindings, out):
     (expr,) = args
-    value, ctx = _eval_in(expr, bindings)
+    value, ctx, node = _eval_node(expr, bindings)
     if ctx == CONST:
         d = 0 if value else float("-inf")
     elif ctx == XCTX:
-        d = value.x_degree
+        d = x_degree(node)
     elif ctx == TCTX:
         d = value.num.degree - value.den.degree if value else float("-inf")
     else:

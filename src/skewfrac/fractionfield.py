@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .centralpoly import CentralPoly, PolyRing, _is_simple, gcrd, lcrm_with_cofactors
-from .quaternion import HH, ONE, QQ, DivisionRing, I, J, K, Quaternion
+from .quaternion import HH, ONE, QQ, DivisionRing, I, J, K, Quaternion, power
 
 
 class FractionField(DivisionRing):
@@ -239,13 +239,7 @@ class RightFraction:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.field.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one)
 
     def _coerce(self, value):
         field = self.field

@@ -29,8 +29,11 @@ that ideal is decidable: vanishes(f) iff sigma(f) = 0.  Hence func_eq
 decides whether two free expressions agree as functions on all of H.
 
 sigma memoizes on word suffixes (tails share massively across the
-words phi produces), so repeated canonicalization stays cheap; cost
-is still exponential in X-degree, fine up to degree ~6.
+words phi produces), so repeated canonicalization stays cheap, but a
+FreeExpr can hold exponentially many words in its X-degree.  sigma on
+a FreeExpr is therefore the library and oracle path; the CLI evaluates
+X-context expressions in the coordinate ring directly (parser.COORD
+sends X to sigma(X) and never builds the words).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .quaternion import ONE, ZERO, Quaternion, _coerce
+from .quaternion import ONE, ZERO, Quaternion, _coerce, power
 
 Expo = tuple[int, int, int, int]
 
@@ -157,14 +157,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = MultiPoly._raw({_ZERO_EXP: ONE})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, MP_ONE)
 
     def scale_left(self, q: Quaternion) -> "MultiPoly":
         return MultiPoly((e, q * c) for e, c in self.terms.items())

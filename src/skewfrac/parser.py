@@ -20,6 +20,14 @@ quaternions) and t1..t4 (four central variables).  The families never
 mix; a violation raises MixedContextError with the position of the
 offending variable.
 
+An X-context expression can also be evaluated in the COORD domain,
+straight into H_c[t1..t4]: X becomes sigma(X) and the ring operations
+run on coordinate polynomials.  sigma is a ring homomorphism, so the
+result is sigma(evaluate(node, XCTX)) without ever expanding the formal
+words, whose number is exponential in the X-degree.  The one formal
+property the polynomial cannot show, the X-degree, is read off the AST
+by x_degree.
+
 Identifiers other than the reserved symbols refer to `let` bindings
 (purely syntactic: the bound AST is spliced in at parse time).
 """
@@ -32,7 +40,7 @@ from typing import Optional, Union
 
 from .errors import MixedContextError, ParseError
 from .freealgebra import X as FREE_X
-from .freealgebra import FreeExpr
+from .freealgebra import FreeExpr, sigma
 from .fractionfield import HFRAC, HPOLY, RightFraction
 from .multipoly import MultiPoly
 from .quaternion import I, J, K, ONE, Quaternion
@@ -216,6 +224,9 @@ def parse(text: str, bindings: Optional[dict] = None) -> Node:
 
 CONST, XCTX, TCTX, MULTI = "const", "X", "t", "t1..t4"
 
+# not a context classify returns: the X context evaluated through sigma
+COORD = "coord"
+
 
 def classify(node: Node) -> str:
     """Which variable family the expression uses (CONST when none)."""
@@ -257,14 +268,14 @@ class _Domain:
     def var_x(self): raise ParseError("X not valid here", 0)
     def var_t(self): raise ParseError("t not valid here", 0)
     def var_tl(self, l: int): raise ParseError("t1..t4 not valid here", 0)
-    def quotient(self, a, b, pos: int): raise NotImplementedError
+    def quotient(self, a, b, node: BinOp): raise NotImplementedError
 
 
 class _ConstDomain(_Domain):
     def num(self, r): return Quaternion(r)
     def unit(self, q): return q
 
-    def quotient(self, a, b, pos):
+    def quotient(self, a, b, node):
         if not b:
             raise ZeroDivisionError("division by zero")
         return a * b.inverse()
@@ -275,11 +286,11 @@ class _FreeDomain(_Domain):
     def unit(self, q): return FreeExpr.constant(q)
     def var_x(self): return FREE_X
 
-    def quotient(self, a, b, pos):
+    def quotient(self, a, b, node):
         # H<X> has no fractions; only constants can divide
         q = _as_constant_word(b)
         if q is None:
-            raise ParseError("can only divide by a constant here", pos)
+            raise ParseError("can only divide by a constant here", node.pos)
         if not q:
             raise ZeroDivisionError("division by zero")
         return a * FreeExpr.constant(q.inverse())
@@ -290,7 +301,7 @@ class _FracDomain(_Domain):
     def unit(self, q): return HFRAC.embed(HPOLY.constant(q))
     def var_t(self): return HFRAC.t
 
-    def quotient(self, a, b, pos):
+    def quotient(self, a, b, node):
         if not b:
             raise ZeroDivisionError("division by zero")
         return a * b.inverse()
@@ -301,13 +312,26 @@ class _MultiDomain(_Domain):
     def unit(self, q): return MultiPoly.constant(q)
     def var_tl(self, l): return MultiPoly.variable(l)
 
-    def quotient(self, a, b, pos):
+    def quotient(self, a, b, node):
         q = _as_constant_term(b)
         if q is None:
-            raise ParseError("can only divide by a constant here", pos)
+            raise ParseError("can only divide by a constant here", node.pos)
         if not q:
             raise ZeroDivisionError("division by zero")
         return a.scale_right(q.inverse())
+
+
+class _CoordDomain(_MultiDomain):
+    var_tl = _Domain.var_tl
+
+    def var_x(self): return sigma(FREE_X)
+
+    def quotient(self, a, b, node):
+        # the formal rule of _FreeDomain: a divisor with X in any word
+        # is rejected even when its image is constant
+        if x_degree(node.b) > 0:
+            raise ParseError("can only divide by a constant here", node.pos)
+        return super().quotient(a, b, node)
 
 
 def _as_constant_word(f: FreeExpr) -> Optional[Quaternion]:
@@ -332,11 +356,13 @@ _DOMAINS = {
     XCTX: _FreeDomain(),
     TCTX: _FracDomain(),
     MULTI: _MultiDomain(),
+    COORD: _CoordDomain(),
 }
 
 
 def evaluate(node: Node, context: str):
-    """Evaluate in the value domain of `context` (a classify result)."""
+    """Evaluate in the value domain of `context` (a classify result, or
+    COORD for an X-context expression)."""
     dom = _DOMAINS[context]
 
     def walk(n):
@@ -363,10 +389,34 @@ def evaluate(node: Node, context: str):
                 return a - b
             if n.op == "*":
                 return a * b
-            return dom.quotient(a, b, n.pos)
+            return dom.quotient(a, b, n)
         raise TypeError(f"unknown node {n!r}")
 
     return walk(node)
+
+
+def x_degree(node: Node):
+    """The X-degree of evaluate(node, XCTX), read off the AST.
+
+    A formal sum keeps every word (X - X has degree 1) and a product of
+    nonzero words is never zero, so degrees add under `*` and take the
+    maximum under `+`; only the literal 0 is the empty sum, degree -inf.
+    """
+    if isinstance(node, Num):
+        return float("-inf") if node.value == 0 else 0
+    if isinstance(node, VarX):
+        return 1
+    if isinstance(node, Neg):
+        return x_degree(node.a)
+    if isinstance(node, Pow):
+        return node.n * x_degree(node.a) if node.n else 0
+    if isinstance(node, BinOp):
+        a = x_degree(node.a)
+        if node.op == "/":
+            return a
+        b = x_degree(node.b)
+        return a + b if node.op == "*" else max(a, b)
+    return 0
 
 
 def parse_and_eval(text: str, bindings: Optional[dict] = None,

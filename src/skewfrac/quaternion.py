@@ -178,13 +178,7 @@ class Quaternion:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     # -- involution and norm ----------------------------------------------
 
@@ -216,6 +210,9 @@ class Quaternion:
                 self._den == other._den)
 
     def __hash__(self) -> int:
+        # a rational quaternion equals its int/Fraction, so hashes like it
+        if self.is_rational():
+            return hash(self.re)
         return hash((self._a, self._b, self._c, self._d, self._den))
 
     def __str__(self) -> str:
@@ -234,6 +231,23 @@ class Quaternion:
 
     def __repr__(self) -> str:
         return f"Quaternion({str(self)!r})"
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; `one` when n == 0.
+
+    Shared by every exact ring type here.  It starts from the lowest set
+    bit instead of multiplying into `one`, and squares the base only
+    while higher bits remain.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
 
 
 def _coord_str(num: int, den: int, sym: str) -> str:

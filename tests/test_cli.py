@@ -34,6 +34,9 @@ GOLDEN = [
     (["deg", "(t-i)*(t-j)*(t-k)"], "3\n"),
     (["deg", "1/(t^2+1)"], "-2\n"),
     (["deg", "X*X + X"], "2\n"),
+    (["deg", "0*X"], "-inf\n"),        # X-degree is formal: 0 is the empty sum
+    (["deg", "X - X"], "1\n"),         # ... and X - X keeps both words
+    (["deg", "(0*X)^0"], "0\n"),
     (["gcrd", "(t-i)*(t-j)", "(t-k)*(t-j)"], "t - j\n"),
     (["gcrd", "t^2+1", "t^2+2"], "1\n"),
     (["lcrm", "t - i", "t - j"], "m = t^2 + 1\nu = t + i\nv = t + j\n"),
@@ -55,6 +58,29 @@ def test_golden(argv, expected, capsys):
 
 def test_golden_count():
     assert len(GOLDEN) >= 20
+
+
+# (argv, exit code, exact stderr) for commands that must fail
+GOLDEN_ERRORS = [
+    (["canon", "X/(X - X)"], 2,
+     "skewfrac: parse error: can only divide by a constant here "
+     "(at position 2)\n"),
+    (["canon", "X/(0*X)"], 3, "skewfrac: domain error: division by zero\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", GOLDEN_ERRORS,
+                         ids=[" ".join(g[0]) for g in GOLDEN_ERRORS])
+def test_golden_errors(argv, code, err, capsys):
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_double_dash_ends_options(capsys):
+    assert cli.main(["canon", "--", "--1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert cli.main(["--", "deg", "--seed"]) == 2   # "--seed" is an expression
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_parse_error_exit_codes(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewfrac import HH, I, J, K, ONE, Quaternion, ZERO, quat
-from skewfrac.quaternion import rand_nonzero_quaternion, rand_quaternion
+from skewfrac.quaternion import power, rand_nonzero_quaternion, rand_quaternion
 
 
 def test_hamilton_table():
@@ -106,6 +106,62 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a + b) * c == a * c + b * c
+
+
+class _Counted:
+    """A value that counts the products made from it."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return _Counted(self.log)
+
+
+@pytest.mark.parametrize("n,products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                        (8, 3), (9, 4), (15, 6)])
+def test_power_makes_no_unused_product(n, products):
+    # squarings up to the top bit, plus one product per further set bit
+    log = []
+    power(_Counted(log), n, None)
+    assert len(log) == products
+
+
+def test_power_matches_repeated_products():
+    from skewfrac import HFRAC, HPOLY, MultiPoly
+    t = HPOLY.t
+    bases = [ONE + I - Fraction(1, 2) * K, t - I + J,
+             MultiPoly.variable(1) + MultiPoly.constant(I),
+             HFRAC(t + J, t - I)]
+    for base in bases:
+        acc = base ** 0
+        for n in range(10):
+            assert base ** n == acc
+            acc = acc * base
+
+
+rationals = st.fractions(max_denominator=9).filter(lambda r: abs(r) < 100)
+numbers = st.one_of(st.integers(-100, 100), rationals, rationals.map(Quaternion),
+                    quats)
+
+
+def _forms(x):
+    """x together with the same value as Quaternion, Fraction and int."""
+    q = x if isinstance(x, Quaternion) else Quaternion(x)
+    if not q.is_rational():
+        return [x]
+    r = q.re
+    return [x, q, r] + ([r.numerator] if r.denominator == 1 else [])
+
+
+@given(numbers, numbers)
+def test_equal_numbers_hash_equal(a, b):
+    values = _forms(a) + _forms(b)
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
 
 
 @given(quats)
