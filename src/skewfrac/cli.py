@@ -10,6 +10,10 @@ binding a name to a parsed expression for later lines.
 X-context expressions are evaluated straight into the coordinate ring
 H_c[t1..t4] (parser.COORD), never as formal words; `deg` alone needs a
 formal property, the X-degree, and reads it off the parsed expression.
+t-context expressions fold their constants to quaternions and are built
+as polynomials in H_c[t]; a fraction is formed, and reduced once, only
+at a `/` by a polynomial.  Parentheses nest at most parser.MAX_NESTING
+deep (deeper is a parse error).
 
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (division
 by zero, depth cap, unknown suite), 4 self-test failure.

@@ -249,10 +249,9 @@ class RightFraction:
         elif isinstance(value, (int, Fraction)):
             return field.coerce_rational(value)
         elif isinstance(value, CentralPoly) and value.ring is field.ring:
-            return RightFraction(field, value, field.ring.one)
+            return field.embed(value)
         if field.ring.coeff.contains(value):   # tower: coefficient element
-            return RightFraction(field, field.ring.constant(value),
-                                 field.ring.one)
+            return field.embed(field.ring.constant(value))
         return None
 
     # -- centrality ---------------------------------------------------------

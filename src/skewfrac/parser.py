@@ -28,6 +28,19 @@ words, whose number is exponential in the X-degree.  The one formal
 property the polynomial cannot show, the X-degree, is read off the AST
 by x_degree.
 
+Outside the X context, a subtree without variables is folded to one
+plain Quaternion and lifted into the context's ring only where it meets
+a variable.  A t-context expression is built in H_c[t] (HPOLY), and a
+RightFraction is formed only at a `/` with a polynomial divisor, so
+it is reduced once there rather than after every `+`, `*` and `^`.
+Canonical forms are unique, so the value is the one that evaluating
+every leaf as a fraction would give.  The X context folds nothing: in
+a formal sum, 1 - 1 is two words.
+
+Only ASCII digits form numbers.  Parentheses nest at most MAX_NESTING
+deep; a chain like `t + t + ... + t` has no length limit, because the
+walks over the AST loop instead of recursing.
+
 Identifiers other than the reserved symbols refer to `let` bindings
 (purely syntactic: the bound AST is spliced in at parse time).
 """
@@ -38,12 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .centralpoly import CentralPoly
 from .errors import MixedContextError, ParseError
 from .freealgebra import X as FREE_X
 from .freealgebra import FreeExpr, sigma
 from .fractionfield import HFRAC, HPOLY, RightFraction
 from .multipoly import MultiPoly
-from .quaternion import I, J, K, ONE, Quaternion
+from .quaternion import HH, I, J, K, Quaternion
 
 
 # -- AST --------------------------------------------------------------------
@@ -101,7 +115,7 @@ Node = Union[Num, Unit, VarX, VarT, VarTl, Neg, BinOp, Pow]
 
 # -- tokenizer ----------------------------------------------------------------
 
-_RESERVED = {"i", "j", "k", "X", "t", "t1", "t2", "t3", "t4"}
+_DIGITS = "0123456789"     # str.isdigit() also accepts '²', which int() rejects
 
 
 def _tokenize(text: str):
@@ -114,14 +128,14 @@ def _tokenize(text: str):
             pos += 1
             continue
         start = pos
-        if ch.isdigit():
-            while pos < n and text[pos].isdigit():
+        if ch in _DIGITS:
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             # greedy rational literal: digits '/' digits with no spaces
-            if pos + 1 < n and text[pos] == "/" and text[pos + 1].isdigit():
+            if pos + 1 < n and text[pos] == "/" and text[pos + 1] in _DIGITS:
                 pos += 1
                 den_start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos] in _DIGITS:
                     pos += 1
                 value = Fraction(int(text[start:den_start - 1]),
                                  int(text[den_start:pos]))
@@ -143,11 +157,17 @@ def _tokenize(text: str):
 
 # -- recursive descent ----------------------------------------------------------
 
+# Parenthesized groups may nest this deep.  Each level costs the parser
+# four stack frames, and Python's default recursion limit is 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, bindings):
         self.tokens = tokens
         self.bindings = bindings or {}
         self.at = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.at]
@@ -172,9 +192,10 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        if self.peek()[0] == "-":
+        negations = 0
+        while self.peek()[0] == "-":
             self.advance()
-            return Neg(self.factor())
+            negations += 1
         node = self.atom()
         if self.peek()[0] == "^":
             _, _, pos = self.advance()
@@ -182,6 +203,8 @@ class _Parser:
             if kind != "num" or value.denominator != 1 or value < 0:
                 raise ParseError("exponent must be a natural number", npos)
             node = Pow(node, int(value), pos)
+        for _ in range(negations):
+            node = Neg(node)
         return node
 
     def atom(self) -> Node:
@@ -201,7 +224,12 @@ class _Parser:
                 return self.bindings[value]
             raise ParseError(f"unknown name {value!r}", pos)
         if kind == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.nesting += 1
             node = self.expr()
+            self.nesting -= 1
             kind, _, cpos = self.advance()
             if kind != ")":
                 raise ParseError("expected ')'", cpos)
@@ -220,6 +248,31 @@ def parse(text: str, bindings: Optional[dict] = None) -> Node:
     return node
 
 
+# -- walking the AST ------------------------------------------------------------------
+
+def _postorder(node: Node) -> list:
+    """The nodes under `node`, each after its operands and left operands
+    first: the order in which a recursive walk finishes them.
+
+    The walks below loop over this list instead of recursing, because
+    the parser builds `t + t + ... + t` as a left-deep tree as tall as
+    the chain is long, and a `let` splice can nest deeper still.
+    """
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        kind = type(n)
+        if kind is BinOp:
+            stack.append(n.a)
+            stack.append(n.b)
+        elif kind is Neg or kind is Pow:
+            stack.append(n.a)
+    out.reverse()
+    return out
+
+
 # -- context classification --------------------------------------------------------
 
 CONST, XCTX, TCTX, MULTI = "const", "X", "t", "t1..t4"
@@ -227,54 +280,49 @@ CONST, XCTX, TCTX, MULTI = "const", "X", "t", "t1..t4"
 # not a context classify returns: the X context evaluated through sigma
 COORD = "coord"
 
+_VAR_CONTEXTS = {VarX: XCTX, VarT: TCTX, VarTl: MULTI}
+
 
 def classify(node: Node) -> str:
     """Which variable family the expression uses (CONST when none)."""
     found = CONST
-
-    def walk(n):
-        nonlocal found
-        if isinstance(n, (VarX, VarT, VarTl)):
-            ctx = XCTX if isinstance(n, VarX) else (
-                TCTX if isinstance(n, VarT) else MULTI)
-            if found == CONST:
-                found = ctx
-            elif found != ctx:
-                raise MixedContextError(
-                    f"cannot mix {found} and {ctx} variables", n.pos)
-        elif isinstance(n, Neg):
-            walk(n.a)
-        elif isinstance(n, BinOp):
-            walk(n.a)
-            walk(n.b)
-        elif isinstance(n, Pow):
-            walk(n.a)
-
-    walk(node)
+    for n in _postorder(node):
+        ctx = _VAR_CONTEXTS.get(type(n))
+        if ctx is None or ctx == found:
+            continue
+        if found != CONST:
+            raise MixedContextError(
+                f"cannot mix {found} and {ctx} variables", n.pos)
+        found = ctx
     return found
 
 
 # -- evaluation ---------------------------------------------------------------------
 
-# Each context supplies the embeddings of the leaves and its division
-# rule; the structural recursion is shared.
+# Each context supplies the embeddings of the leaves, its division rule
+# and `finish`; the walk is shared.  Outside the X context a leaf
+# without variables is a plain Quaternion, so a variable-free subtree
+# folds to one constant, and Python's operator dispatch lifts it into
+# the context's ring where it meets a variable (CentralPoly,
+# RightFraction and MultiPoly all take a Quaternion operand on either
+# side).  `finish` turns the value of the whole expression, which may
+# be such a constant, into the context's type.  The X context keeps
+# every constant as a word: folding 1 - 1 would change a formal sum.
 
 _UNITS = {"i": I, "j": J, "k": K}
 
 
 class _Domain:
-    def num(self, r: Fraction): raise NotImplementedError
-    def unit(self, q: Quaternion): raise NotImplementedError
+    def num(self, r: Fraction): return HH.coerce_rational(r)
+    def unit(self, q: Quaternion): return q
     def var_x(self): raise ParseError("X not valid here", 0)
     def var_t(self): raise ParseError("t not valid here", 0)
     def var_tl(self, l: int): raise ParseError("t1..t4 not valid here", 0)
     def quotient(self, a, b, node: BinOp): raise NotImplementedError
+    def finish(self, value): return value
 
 
 class _ConstDomain(_Domain):
-    def num(self, r): return Quaternion(r)
-    def unit(self, q): return q
-
     def quotient(self, a, b, node):
         if not b:
             raise ZeroDivisionError("division by zero")
@@ -296,29 +344,45 @@ class _FreeDomain(_Domain):
         return a * FreeExpr.constant(q.inverse())
 
 
-class _FracDomain(_Domain):
-    def num(self, r): return HFRAC.coerce_rational(r)
-    def unit(self, q): return HFRAC.embed(HPOLY.constant(q))
-    def var_t(self): return HFRAC.t
+class _FracDomain(_ConstDomain):
+    """Values stay in H_c[t] (HPOLY) until a `/` has a polynomial
+    divisor; the RightFraction formed there is reduced once."""
+
+    def var_t(self): return HPOLY.t
 
     def quotient(self, a, b, node):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return a * b.inverse()
+        if isinstance(b, CentralPoly):
+            if not b:
+                raise ZeroDivisionError("division by zero")
+            if not isinstance(a, RightFraction):
+                return HFRAC(a, b)
+            b = HFRAC.embed(b)
+        return super().quotient(a, b, node)
+
+    def finish(self, value):
+        if isinstance(value, RightFraction):
+            return value
+        if isinstance(value, Quaternion):
+            value = HPOLY.constant(value)
+        return HFRAC.embed(value)
 
 
 class _MultiDomain(_Domain):
-    def num(self, r): return MultiPoly.constant(Quaternion(r))
-    def unit(self, q): return MultiPoly.constant(q)
     def var_tl(self, l): return MultiPoly.variable(l)
 
     def quotient(self, a, b, node):
-        q = _as_constant_term(b)
+        q = b if isinstance(b, Quaternion) else _as_constant_term(b)
         if q is None:
             raise ParseError("can only divide by a constant here", node.pos)
         if not q:
             raise ZeroDivisionError("division by zero")
-        return a.scale_right(q.inverse())
+        q = q.inverse()
+        return a * q if isinstance(a, Quaternion) else a.scale_right(q)
+
+    def finish(self, value):
+        if isinstance(value, Quaternion):
+            return MultiPoly.constant(value)
+        return value
 
 
 class _CoordDomain(_MultiDomain):
@@ -362,37 +426,42 @@ _DOMAINS = {
 
 def evaluate(node: Node, context: str):
     """Evaluate in the value domain of `context` (a classify result, or
-    COORD for an X-context expression)."""
+    COORD for an X-context expression).  Both operands of a `/` are
+    evaluated before the division rule runs, left first."""
     dom = _DOMAINS[context]
-
-    def walk(n):
-        if isinstance(n, Num):
-            return dom.num(n.value)
-        if isinstance(n, Unit):
-            return dom.unit(_UNITS[n.sym])
-        if isinstance(n, VarX):
-            return dom.var_x()
-        if isinstance(n, VarT):
-            return dom.var_t()
-        if isinstance(n, VarTl):
-            return dom.var_tl(n.index)
-        if isinstance(n, Neg):
-            return -walk(n.a)
-        if isinstance(n, Pow):
-            return walk(n.a) ** n.n
-        if isinstance(n, BinOp):
-            a = walk(n.a)
-            b = walk(n.b)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return dom.quotient(a, b, n)
-        raise TypeError(f"unknown node {n!r}")
-
-    return walk(node)
+    values = []
+    push = values.append
+    for n in _postorder(node):
+        kind = type(n)
+        if kind is BinOp:
+            b = values.pop()
+            a = values[-1]
+            op = n.op
+            if op == "+":
+                values[-1] = a + b
+            elif op == "-":
+                values[-1] = a - b
+            elif op == "*":
+                values[-1] = a * b
+            else:
+                values[-1] = dom.quotient(a, b, n)
+        elif kind is Num:
+            push(dom.num(n.value))
+        elif kind is Unit:
+            push(dom.unit(_UNITS[n.sym]))
+        elif kind is Pow:
+            values[-1] = values[-1] ** n.n
+        elif kind is Neg:
+            values[-1] = -values[-1]
+        elif kind is VarT:
+            push(dom.var_t())
+        elif kind is VarX:
+            push(dom.var_x())
+        elif kind is VarTl:
+            push(dom.var_tl(n.index))
+        else:
+            raise TypeError(f"unknown node {n!r}")
+    return dom.finish(values[0])
 
 
 def x_degree(node: Node):
@@ -402,21 +471,21 @@ def x_degree(node: Node):
     nonzero words is never zero, so degrees add under `*` and take the
     maximum under `+`; only the literal 0 is the empty sum, degree -inf.
     """
-    if isinstance(node, Num):
-        return float("-inf") if node.value == 0 else 0
-    if isinstance(node, VarX):
-        return 1
-    if isinstance(node, Neg):
-        return x_degree(node.a)
-    if isinstance(node, Pow):
-        return node.n * x_degree(node.a) if node.n else 0
-    if isinstance(node, BinOp):
-        a = x_degree(node.a)
-        if node.op == "/":
-            return a
-        b = x_degree(node.b)
-        return a + b if node.op == "*" else max(a, b)
-    return 0
+    degrees = []
+    for n in _postorder(node):
+        if isinstance(n, BinOp):
+            b = degrees.pop()
+            if n.op == "*":
+                degrees[-1] += b
+            elif n.op != "/":
+                degrees[-1] = max(degrees[-1], b)
+        elif isinstance(n, Pow):
+            degrees[-1] = n.n * degrees[-1] if n.n else 0
+        elif isinstance(n, Num):
+            degrees.append(float("-inf") if n.value == 0 else 0)
+        elif not isinstance(n, Neg):
+            degrees.append(1 if isinstance(n, VarX) else 0)
+    return degrees[0]
 
 
 def parse_and_eval(text: str, bindings: Optional[dict] = None,

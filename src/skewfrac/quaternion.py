@@ -366,13 +366,6 @@ def rand_rational(rng: random.Random, bound: int = 10) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def rand_nonzero_rational(rng: random.Random, bound: int = 10) -> Fraction:
-    while True:
-        r = rand_rational(rng, bound)
-        if r:
-            return r
-
-
 def rand_quaternion(rng: random.Random, bound: int = 10) -> Quaternion:
     return Quaternion(rand_rational(rng, bound), rand_rational(rng, bound),
                       rand_rational(rng, bound), rand_rational(rng, bound))

@@ -44,7 +44,7 @@ def tower_field(depth: int, limit: int = DEFAULT_DEPTH_LIMIT) -> FractionField:
 def tower_constant(depth: int, q: Quaternion,
                    limit: int = DEFAULT_DEPTH_LIMIT) -> RightFraction:
     """The quaternion q embedded as a depth-n constant."""
-    field = tower_field(depth, limit)
+    field = tower_field(depth, limit)   # the only check that rejects depth < 1
     value = q
     for level in range(1, depth + 1):
         inner = tower_field(level, limit)

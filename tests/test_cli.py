@@ -46,6 +46,8 @@ GOLDEN = [
     (["frac", "reduce", "((t-i)*(t-j)) / ((t-k)*(t-j))"],
      "(t - i) / (t - k)\n"),
     (["frac", "div", "t - i", "t - i"], "1\n"),
+    (["canon", "(2*t + 2*i) / 4"], "1/2*t + 1/2*i\n"),
+    (["canon", "((1 + i)/(1 - i))*t"], "i*t\n"),
 ]
 
 
@@ -66,6 +68,12 @@ GOLDEN_ERRORS = [
      "skewfrac: parse error: can only divide by a constant here "
      "(at position 2)\n"),
     (["canon", "X/(0*X)"], 3, "skewfrac: domain error: division by zero\n"),
+    (["canon", "t/(1 - 1)"], 3, "skewfrac: domain error: division by zero\n"),
+    # only ASCII digits are digits: int() rejects the others isdigit() accepts
+    (["canon", "\u00b2"], 2,
+     "skewfrac: parse error: unexpected character '\u00b2' (at position 1)\n"),
+    (["canon", "t^\u00b2"], 2,
+     "skewfrac: parse error: unexpected character '\u00b2' (at position 3)\n"),
 ]
 
 
@@ -74,6 +82,26 @@ GOLDEN_ERRORS = [
 def test_golden_errors(argv, code, err, capsys):
     assert cli.main(argv) == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_long_chains_and_deep_nesting(capsys):
+    # a flat chain is a left-deep tree as tall as it is long
+    assert cli.main(["canon", "+".join(["t"] * 5000)]) == 0
+    assert capsys.readouterr().out == "5000*t\n"
+    assert cli.main(["canon", "*".join(["i"] * 2001) + "*t"]) == 0
+    assert capsys.readouterr().out == "i*t\n"
+    assert cli.main(["canon", "--", "-" * 3000 + "t"]) == 0
+    assert capsys.readouterr().out == "t\n"
+    # parentheses nest at most parser.MAX_NESTING deep
+    deep = "(" * 100 + "t" + ")" * 100
+    assert cli.main(["canon", deep]) == 0
+    assert capsys.readouterr().out == "t\n"
+    assert cli.main(["canon", "(" + deep + ")"]) == 2
+    assert capsys.readouterr().err == (
+        "skewfrac: parse error: parentheses nested deeper than 100 "
+        "(at position 101)\n")
+    assert cli.main(["canon", "(" * 1000 + "t" + ")" * 1000]) == 2
+    assert "nested deeper" in capsys.readouterr().err
 
 
 def test_double_dash_ends_options(capsys):
@@ -143,6 +171,14 @@ central "t^2"
     assert out == "t1\n2\ntrue\ntrue\n"
     assert "parse error" in err
     assert code == 2, "first error code wins"
+
+
+def test_batch_deep_let_splices(capsys, monkeypatch):
+    # each splice nests the previous tree one level deeper on the right
+    script = "let a = t\n" + "let a = t - (a)\n" * 1500 + "canon a\ndeg a\n"
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(script))
+    assert cli.main([]) == 0
+    assert capsys.readouterr() == ("t\n1\n", "")
 
 
 def test_batch_bad_let(capsys, monkeypatch):
