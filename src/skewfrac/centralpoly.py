@@ -5,7 +5,9 @@ commuting with every coefficient, stored as a dense coefficient tuple
 (constant term first).  Coefficients need not commute with each other,
 so left and right division are distinct; both are implemented, along
 with greatest common right/left divisors and least common right/left
-multiples, which is everything the right fraction field needs.
+multiples, which is everything the right fraction field needs.  One
+body, given the side, serves both versions of each algorithm: the left
+one is the right one with every product reversed (the opposite ring).
 
 Degree is additive on products (lead coefficients multiply to a
 nonzero lead since D has no zero divisors), so the ring has no zero
@@ -183,50 +185,35 @@ class CentralPoly:
 
     def divmod_right(self, g: "CentralPoly"):
         """q, r with self == q*g + r and deg r < deg g."""
-        if not g:
-            raise ZeroDivisionError("division by the zero polynomial")
-        ring = self.ring
-        inv_lead = ring.coeff.inv(g.lead())
-        dg = len(g.coeffs) - 1
-        rem = list(self.coeffs)
-        zero = ring.coeff.zero
-        q = [zero] * max(len(rem) - dg, 0)
-        gc = g.coeffs
-        while len(rem) > dg and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) <= dg:
-                break
-            shift = len(rem) - 1 - dg
-            c = rem[-1] * inv_lead
-            q[shift] = c
-            for n in range(dg + 1):
-                rem[shift + n] = rem[shift + n] - c * gc[n]
-            rem.pop()
-        return CentralPoly(ring, tuple(q)), CentralPoly(ring, tuple(rem))
+        return self._divmod(g, True)
 
     def divmod_left(self, g: "CentralPoly"):
         """q, r with self == g*q + r and deg r < deg g."""
+        return self._divmod(g, False)
+
+    def _divmod(self, g: "CentralPoly", right: bool):
+        # Each step drops the top of the remainder, which the quotient
+        # coefficient c cancels, and subtracts c times the rest of g.
         if not g:
             raise ZeroDivisionError("division by the zero polynomial")
         ring = self.ring
         inv_lead = ring.coeff.inv(g.lead())
-        dg = len(g.coeffs) - 1
+        low = g.coeffs[:-1]
+        dg = len(low)
         rem = list(self.coeffs)
-        zero = ring.coeff.zero
-        q = [zero] * max(len(rem) - dg, 0)
-        gc = g.coeffs
-        while len(rem) > dg and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) <= dg:
-                break
-            shift = len(rem) - 1 - dg
-            c = inv_lead * rem[-1]
+        q = [ring.coeff.zero] * max(len(rem) - dg, 0)
+        while len(rem) > dg:
+            top = rem.pop()
+            if not top:
+                continue
+            shift = len(rem) - dg
+            if right:
+                c = top * inv_lead
+                rem[shift:] = [a - c * b for a, b in zip(rem[shift:], low)]
+            else:
+                c = inv_lead * top
+                rem[shift:] = [a - b * c for a, b in zip(rem[shift:], low)]
             q[shift] = c
-            for n in range(dg + 1):
-                rem[shift + n] = rem[shift + n] - gc[n] * c
-            rem.pop()
         return CentralPoly(ring, tuple(q)), CentralPoly(ring, tuple(rem))
 
     def monic_left(self) -> "CentralPoly":
@@ -328,54 +315,31 @@ def gcrd(f: CentralPoly, g: CentralPoly) -> CentralPoly:
     Euclid on right division: the right divisors of {f, g} and of
     {g, f mod g} coincide.  gcrd(0, 0) == 0.
     """
-    a, b = f, g
-    while b:
-        _, r = a.divmod_right(b)
-        a, b = b.monic_left(), r
-    return a.monic_left()
+    return _gcd(f, g, True)
 
 
 def gcld(f: CentralPoly, g: CentralPoly) -> CentralPoly:
     """Greatest common left divisor, monic (right-normalized)."""
+    return _gcd(f, g, False)
+
+
+def _gcd(f: CentralPoly, g: CentralPoly, right: bool) -> CentralPoly:
+    # looked up per call: a wrapper installed on the class sees each division
+    div = CentralPoly.divmod_right if right else CentralPoly.divmod_left
+    monic = CentralPoly.monic_left if right else CentralPoly.monic_right
     a, b = f, g
     while b:
-        _, r = a.divmod_left(b)
-        a, b = b.monic_right(), r
-    return a.monic_right()
+        _, r = div(a, b)
+        a, b = monic(b), r
+    return monic(a)
 
 
 def lcrm_with_cofactors(x: CentralPoly, y: CentralPoly):
     """Least common right multiple m = x*u = y*v, with m monic.
 
-    Returns (m, u, v).  Runs the extended Euclidean scheme on LEFT
-    division, maintaining r_n == x*u_n + y*v_n; when the remainder
-    hits zero the relation 0 == x*u + y*v gives the common right
-    multiple m = x*u = y*(-v).  Both inputs must be nonzero.
+    Returns (m, u, v).  Both inputs must be nonzero.
     """
-    if not x or not y:
-        raise ZeroDivisionError("lcrm requires nonzero inputs")
-    ring = x.ring
-    one, zero = ring.one, ring.zero
-    r0, r1 = x, y
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while r1:
-        q, r2 = r0.divmod_left(r1)
-        r0, r1 = r1, r2
-        u0, u1 = u1, u0 - u1 * q
-        v0, v1 = v1, v0 - v1 * q
-        # keep the invariant's remainder monic to limit coefficient growth:
-        # scaling (r, u, v) on the right by a unit preserves r == x*u + y*v
-        if r1:
-            c = ring.coeff.inv(r1.lead())
-            r1 = r1.scale_right(c)
-            u1 = u1.scale_right(c)
-            v1 = v1.scale_right(c)
-    m = x * u1
-    if not m:
-        raise ArithmeticError("lcrm cofactor degenerated to zero")
-    c = ring.coeff.inv(m.lead())
-    return m.scale_right(c), u1.scale_right(c), (-v1).scale_right(c)
+    return _lcm(x, y, True)
 
 
 def lcrm(x: CentralPoly, y: CentralPoly) -> CentralPoly:
@@ -384,19 +348,39 @@ def lcrm(x: CentralPoly, y: CentralPoly) -> CentralPoly:
 
 def lclm(x: CentralPoly, y: CentralPoly) -> CentralPoly:
     """Least common left multiple m = u*x = v*y, monic."""
+    return _lcm(x, y, False)[0]
+
+
+def _lcm(x: CentralPoly, y: CentralPoly, right: bool):
+    """(m, u, v) with m monic, m = x*u = y*v if `right` else u*x = v*y.
+
+    Runs the extended Euclidean scheme on division from the other side,
+    maintaining r_n == x*u_n + y*v_n (for a left multiple, with every
+    product reversed); when the remainder hits zero the relation
+    0 == x*u + y*v gives the common multiple m = x*u = y*(-v).
+    """
     if not x or not y:
-        raise ZeroDivisionError("lclm requires nonzero inputs")
+        raise ZeroDivisionError(
+            f"{'lcrm' if right else 'lclm'} requires nonzero inputs")
     ring = x.ring
-    one, zero = ring.one, ring.zero
+    div = CentralPoly.divmod_left if right else CentralPoly.divmod_right
+    scale = CentralPoly.scale_right if right else CentralPoly.scale_left
+    mul = CentralPoly.__mul__ if right else CentralPoly.__rmul__
     r0, r1 = x, y
-    u0, u1 = one, zero
+    u0, u1 = ring.one, ring.zero
+    v0, v1 = ring.zero, ring.one
     while r1:
-        q, r2 = r0.divmod_right(r1)
+        q, r2 = div(r0, r1)
         r0, r1 = r1, r2
-        u0, u1 = u1, u0 - q * u1
+        u0, u1 = u1, u0 - mul(u1, q)
+        v0, v1 = v1, v0 - mul(v1, q)
+        # keep the invariant's remainder monic to limit coefficient growth:
+        # scaling (r, u, v) by a unit on the multiple's side preserves it
         if r1:
             c = ring.coeff.inv(r1.lead())
-            r1 = r1.scale_left(c)
-            u1 = u1.scale_left(c)
-    m = u1 * x
-    return m.monic_left()
+            r1 = scale(r1, c)
+            u1 = scale(u1, c)
+            v1 = scale(v1, c)
+    m = mul(x, u1)
+    c = ring.coeff.inv(m.lead())
+    return scale(m, c), scale(u1, c), scale(-v1, c)

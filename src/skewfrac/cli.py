@@ -16,7 +16,8 @@ at a `/` by a polynomial.  Parentheses nest at most parser.MAX_NESTING
 deep (deeper is a parse error).
 
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (division
-by zero, depth cap, unknown suite), 4 self-test failure.
+by zero, depth cap, unknown suite, a result with a number longer than
+the interpreter's int-to-string limit), 4 self-test failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .centralpoly import CentralPoly, gcrd, lcrm_with_cofactors
 from .errors import DepthExceededError, ParseError, UnknownSuiteError
-from .fractionfield import HFRAC, component_decompose
+from .fractionfield import component_decompose
 from .freealgebra import sigma  # noqa: F401  (re-exported; perfbench traces it here)
 from .parser import CONST, COORD, TCTX, XCTX, classify, evaluate, parse, x_degree
 from .quaternion import quat
@@ -101,11 +102,6 @@ def _split_options(argv):
 
 # -- expression helpers -------------------------------------------------------
 
-def _eval_in(text: str, bindings, context=None):
-    value, found, _ = _eval_node(text, bindings, context)
-    return value, found
-
-
 def _eval_node(text: str, bindings, context=None):
     """(value, context found, parsed node); X-context values are
     coordinate polynomials."""
@@ -121,8 +117,8 @@ def _domain(context: str) -> str:
 
 
 def _rational_point(text: str, bindings) -> Fraction:
-    value, found = _eval_in(text, bindings, CONST)
-    if found != CONST or not value.is_rational():
+    value, _, _ = _eval_node(text, bindings, CONST)
+    if not value.is_rational():
         raise _DomainError(f"expected a rational point, got {text!r}")
     return value.re
 
@@ -137,6 +133,15 @@ class _DomainError(Exception):
     pass
 
 
+def _text(value) -> str:
+    """str(value), or a domain error past the int-to-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise _DomainError("result has a number longer than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _bool_word(b: bool) -> str:
     return "true" if b else "false"
 
@@ -145,14 +150,12 @@ def _bool_word(b: bool) -> str:
 
 def _cmd_canon(args, opts, bindings, out):
     (expr,) = args
-    value, _ = _eval_in(expr, bindings)
-    print(value, file=out)
+    value, _, _ = _eval_node(expr, bindings)
+    print(_text(value), file=out)
 
 
 def _cmd_eval(args, opts, bindings, out):
-    if not args:
-        raise _UsageError("eval needs an expression")
-    value, ctx = _eval_in(args[0], bindings)
+    value, ctx, _ = _eval_node(args[0], bindings)
     pts = args[1:]
     if ctx == CONST:
         if pts:
@@ -161,9 +164,7 @@ def _cmd_eval(args, opts, bindings, out):
     elif ctx == XCTX:
         if len(pts) != 1:
             raise _UsageError("X-context eval takes one quaternion point")
-        q, found = _eval_in(pts[0], bindings, CONST)
-        if found != CONST:
-            raise _UsageError("the point must be a constant expression")
+        q, _, _ = _eval_node(pts[0], bindings, CONST)
         result = value.eval(*q.coords())
     elif ctx == TCTX:
         if len(pts) != 1:
@@ -178,7 +179,7 @@ def _cmd_eval(args, opts, bindings, out):
             raise _UsageError("t1..t4 eval takes four rational points")
         coords = [_rational_point(p, bindings) for p in pts]
         result = value.eval(*coords)
-    print(result, file=out)
+    print(_text(result), file=out)
 
 
 def _cmd_eq(args, opts, bindings, out):
@@ -198,7 +199,7 @@ def _cmd_eq(args, opts, bindings, out):
 
 def _cmd_central(args, opts, bindings, out):
     (expr,) = args
-    value, ctx = _eval_in(expr, bindings)
+    value, ctx, _ = _eval_node(expr, bindings)
     if ctx == CONST:
         result = value.is_rational()
     elif ctx == TCTX:
@@ -210,15 +211,14 @@ def _cmd_central(args, opts, bindings, out):
 
 def _cmd_components(args, opts, bindings, out):
     (expr,) = args
-    value, ctx = _eval_in(expr, bindings)
+    value, ctx, _ = _eval_node(expr, bindings)
     if ctx == CONST:
         parts = value.coords()
     elif ctx == TCTX:
         parts = component_decompose(value)
     else:
         parts = value.components()
-    for p in parts:
-        print(p, file=out)
+    print("\n".join(map(_text, parts)), file=out)
 
 
 def _cmd_deg(args, opts, bindings, out):
@@ -237,18 +237,18 @@ def _cmd_deg(args, opts, bindings, out):
 
 def _cmd_gcrd(args, opts, bindings, out):
     e1, e2 = args
-    p1 = _as_poly(_eval_in(e1, bindings, TCTX)[0])
-    p2 = _as_poly(_eval_in(e2, bindings, TCTX)[0])
-    print(gcrd(p1, p2), file=out)
+    p1 = _as_poly(_eval_node(e1, bindings, TCTX)[0])
+    p2 = _as_poly(_eval_node(e2, bindings, TCTX)[0])
+    print(_text(gcrd(p1, p2)), file=out)
 
 
 def _cmd_lcrm(args, opts, bindings, out):
     e1, e2 = args
-    p1 = _as_poly(_eval_in(e1, bindings, TCTX)[0])
-    p2 = _as_poly(_eval_in(e2, bindings, TCTX)[0])
+    p1 = _as_poly(_eval_node(e1, bindings, TCTX)[0])
+    p2 = _as_poly(_eval_node(e2, bindings, TCTX)[0])
     if not p1 or not p2:
         raise _DomainError("lcrm requires nonzero polynomials")
-    m, u, v = lcrm_with_cofactors(p1, p2)
+    m, u, v = map(_text, lcrm_with_cofactors(p1, p2))
     print(f"m = {m}", file=out)
     print(f"u = {u}", file=out)
     print(f"v = {v}", file=out)
@@ -265,7 +265,7 @@ def _cmd_frac(args, opts, bindings, out):
     need = 1 if op in ("inv", "reduce") else 2
     if len(exprs) != need:
         raise _UsageError(f"frac {op} takes {need} expression(s)")
-    vals = [_eval_in(e, bindings, TCTX)[0] for e in exprs]
+    vals = [_eval_node(e, bindings, TCTX)[0] for e in exprs]
     if op == "add":
         result = vals[0] + vals[1]
     elif op == "sub":
@@ -282,7 +282,7 @@ def _cmd_frac(args, opts, bindings, out):
         result = vals[0].inverse()
     else:
         result = vals[0]
-    print(result, file=out)
+    print(_text(result), file=out)
 
 
 def _cmd_selftest(args, opts, bindings, out):
@@ -375,6 +375,9 @@ def _bind(words, bindings, err) -> int:
     except ParseError as e:
         print(f"skewfrac: parse error: {e}", file=err)
         return 2
+    except ZeroDivisionError as e:     # a literal like 1/0
+        print(f"skewfrac: domain error: {e}", file=err)
+        return 3
     return 0
 
 

@@ -25,8 +25,6 @@ built over it; iterating gives the nested fraction fields in
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .centralpoly import CentralPoly, PolyRing, _is_simple, gcrd, lcrm_with_cofactors
 from .quaternion import HH, ONE, QQ, DivisionRing, I, J, K, Quaternion, power
 
@@ -40,17 +38,15 @@ class FractionField(DivisionRing):
         self.zero = RightFraction(self, ring.zero, ring.one, _reduced=True)
         self.one = RightFraction(self, ring.one, ring.one, _reduced=True)
 
-    def __call__(self, num, den=None) -> "RightFraction":
-        """Build num * den^-1 (den defaults to 1), canonicalizing."""
-        if not isinstance(num, CentralPoly):
-            num = self.ring.constant(num) if not isinstance(num, int) \
-                else self.ring.coerce_rational(num)
-        if den is None:
-            den = self.ring.one
-        elif not isinstance(den, CentralPoly):
-            den = self.ring.constant(den) if not isinstance(den, int) \
-                else self.ring.coerce_rational(den)
-        return RightFraction(self, num, den)
+    def __call__(self, num, den=1) -> "RightFraction":
+        """Build num * den^-1, canonicalizing; num and den may be anything
+        the ring's operations take (int, Fraction, coefficient)."""
+        coerce = self.ring.one._coerce
+        n, d = coerce(num), coerce(den)
+        if n is None or d is None:
+            raise TypeError(f"cannot build an element of {self.name} "
+                            f"from {num!r} and {den!r}")
+        return RightFraction(self, n, d)
 
     def embed(self, poly: CentralPoly) -> "RightFraction":
         return RightFraction(self, poly, self.ring.one, _reduced=True)
@@ -63,16 +59,14 @@ class FractionField(DivisionRing):
         return a.inverse()
 
     def coerce_rational(self, r) -> "RightFraction":
-        return RightFraction(self, self.ring.coerce_rational(r), self.ring.one,
-                             _reduced=True)
+        return self.embed(self.ring.coerce_rational(r))
 
     def contains(self, value) -> bool:
         return isinstance(value, RightFraction) and value.field is self
 
     def central_test_elements(self) -> tuple:
         """Fraction-level constants whose centralizer is the center."""
-        return tuple(self.embed(self.ring.constant(c))
-                     for c in _test_constants(self.ring.coeff))
+        return _test_constants(self)
 
     def sample(self, rng, bound) -> "RightFraction":
         # small shapes: deep towers multiply work per level
@@ -242,17 +236,12 @@ class RightFraction:
         return power(self, n, self.field.one)
 
     def _coerce(self, value):
-        field = self.field
-        if isinstance(value, RightFraction):
-            if value.field is field:
-                return value
-        elif isinstance(value, (int, Fraction)):
-            return field.coerce_rational(value)
-        elif isinstance(value, CentralPoly) and value.ring is field.ring:
-            return field.embed(value)
-        if field.ring.coeff.contains(value):   # tower: coefficient element
-            return field.embed(field.ring.constant(value))
-        return None
+        if isinstance(value, RightFraction) and value.field is self.field:
+            return value
+        # anything else the ring takes, a coefficient one tower level
+        # down included, is embedded as a polynomial
+        poly = self.field.ring.one._coerce(value)
+        return None if poly is None else self.field.embed(poly)
 
     # -- centrality ---------------------------------------------------------
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .multipoly import MP_ONE, MP_ZERO, MultiPoly
+from .multipoly import MultiPoly
 from .quaternion import ONE, ZERO, I, J, K, Quaternion, _coerce
 
 Word = tuple  # of Quaternion, length m+1 for m occurrences of X
@@ -298,8 +298,3 @@ def find_witness(f: FreeExpr, rng: Random, max_draws: int = 50):
         if eval_free(f, q):
             return q
     return None
-
-
-def component_split(p: MultiPoly):
-    """Coordinate polynomials (p1, p2, p3, p4), p = p1 + p2 i + p3 j + p4 k."""
-    return p.components()

@@ -37,9 +37,10 @@ Canonical forms are unique, so the value is the one that evaluating
 every leaf as a fraction would give.  The X context folds nothing: in
 a formal sum, 1 - 1 is two words.
 
-Only ASCII digits form numbers.  Parentheses nest at most MAX_NESTING
-deep; a chain like `t + t + ... + t` has no length limit, because the
-walks over the AST loop instead of recursing.
+Only ASCII digits form numbers, at most sys.get_int_max_str_digits()
+of them, and a literal like 1/0 raises ZeroDivisionError.  Parentheses
+nest at most MAX_NESTING deep; a chain like `t + t + ... + t` has no
+length limit, because the walks over the AST loop instead of recursing.
 
 Identifiers other than the reserved symbols refer to `let` bindings
 (purely syntactic: the bound AST is spliced in at parse time).
@@ -47,6 +48,7 @@ Identifiers other than the reserved symbols refer to `let` bindings
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -131,17 +133,18 @@ def _tokenize(text: str):
         if ch in _DIGITS:
             while pos < n and text[pos] in _DIGITS:
                 pos += 1
+            num = _int(text[start:pos], start + 1)
+            den = 1
             # greedy rational literal: digits '/' digits with no spaces
             if pos + 1 < n and text[pos] == "/" and text[pos + 1] in _DIGITS:
                 pos += 1
                 den_start = pos
                 while pos < n and text[pos] in _DIGITS:
                     pos += 1
-                value = Fraction(int(text[start:den_start - 1]),
-                                 int(text[den_start:pos]))
-            else:
-                value = Fraction(int(text[start:pos]))
-            tokens.append(("num", value, start + 1))
+                den = _int(text[den_start:pos], start + 1)
+                if not den:
+                    raise ZeroDivisionError("division by zero")
+            tokens.append(("num", Fraction(num, den), start + 1))
         elif ch.isalpha() or ch == "_":
             while pos < n and (text[pos].isalnum() or text[pos] == "_"):
                 pos += 1
@@ -153,6 +156,14 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {ch!r}", start + 1)
     tokens.append(("end", "", n + 1))
     return tokens
+
+
+def _int(digits: str, pos: int) -> int:
+    try:        # ASCII digits fail only past the int-to-string limit
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number longer than {sys.get_int_max_str_digits()}"
+                         " digits", pos) from None
 
 
 # -- recursive descent ----------------------------------------------------------
@@ -360,11 +371,7 @@ class _FracDomain(_ConstDomain):
         return super().quotient(a, b, node)
 
     def finish(self, value):
-        if isinstance(value, RightFraction):
-            return value
-        if isinstance(value, Quaternion):
-            value = HPOLY.constant(value)
-        return HFRAC.embed(value)
+        return HFRAC.one._coerce(value)     # embeds a polynomial or constant
 
 
 class _MultiDomain(_Domain):

@@ -1,6 +1,6 @@
 """Exact rational scalars and rational quaternions.
 
-Rational is the stdlib Fraction: arbitrary-precision numerator over a
+Rationals are the stdlib Fraction: arbitrary-precision numerator over a
 positive denominator, always in lowest terms, with structural equality.
 
 A Quaternion is a + b*i + c*j + d*k with rational coordinates and the
@@ -24,8 +24,6 @@ import random
 from fractions import Fraction
 from math import gcd
 from typing import Union
-
-Rational = Fraction
 
 _ScalarLike = Union[int, Fraction]
 
@@ -193,9 +191,6 @@ class Quaternion:
         n = self._a * self._a + self._b * self._b + self._c * self._c + self._d * self._d
         return Fraction(n, self._den * self._den)
 
-    def real_part(self) -> Fraction:
-        return Fraction(self._a, self._den)
-
     # -- structure ----------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -276,9 +271,7 @@ J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
 
 
-def quat(re=0, im_i=0, im_j=0, im_k=0) -> Quaternion:
-    """Convenience constructor accepting ints and Fractions."""
-    return Quaternion(re, im_i, im_j, im_k)
+quat = Quaternion
 
 
 # ---------------------------------------------------------------------------

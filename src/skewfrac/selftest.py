@@ -16,16 +16,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .centralpoly import CentralPoly, PolyRing, gcld, gcrd, lcrm_with_cofactors
+from .centralpoly import CentralPoly, gcld, gcrd, lcrm_with_cofactors
 from .errors import UnknownSuiteError
-from .fractionfield import (HFRAC, HPOLY, QFRAC, QPOLY, RightFraction,
+from .fractionfield import (HFRAC, HPOLY, QFRAC, RightFraction,
                             centralize_denominator, component_decompose,
                             component_recompose)
 from .freealgebra import (FreeExpr, X, eval_free, find_witness, phi, sigma,
                           vanishes, y_constant)
 from .multipoly import MultiPoly
-from .quaternion import (HH, I, J, K, ONE, Quaternion, ZERO, quat,
-                         rand_nonzero_quaternion, rand_quaternion)
+from .quaternion import I, J, K, ONE, Quaternion, quat, rand_quaternion
 from .tower import (DEFAULT_DEPTH_LIMIT, tower_constant, tower_field,
                     tower_variable)
 

@@ -47,8 +47,7 @@ def tower_constant(depth: int, q: Quaternion,
     field = tower_field(depth, limit)   # the only check that rejects depth < 1
     value = q
     for level in range(1, depth + 1):
-        inner = tower_field(level, limit)
-        value = inner.embed(inner.ring.constant(value))
+        value = tower_field(level, limit)(value)
     return value
 
 
@@ -60,6 +59,5 @@ def tower_variable(depth: int, l: int,
     field = tower_field(l, limit)
     value = field.t
     for level in range(l + 1, depth + 1):
-        outer = tower_field(level, limit)
-        value = outer.embed(outer.ring.constant(value))
+        value = tower_field(level, limit)(value)
     return value

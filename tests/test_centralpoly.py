@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewfrac import (HPOLY, I, J, K, ONE, gcld, gcrd, lclm, lcrm,
-                      lcrm_with_cofactors, quat)
+from skewfrac import (HPOLY, I, J, K, ONE, Quaternion, gcld, gcrd, lclm,
+                      lcrm, lcrm_with_cofactors, quat, tower_field)
+from skewfrac.fractionfield import conj_poly
 
 from oracles import lcrm_oracle
 
@@ -173,3 +174,50 @@ def test_ring_axioms(a, b, c):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert (f + g) * h == f * h + g * h
+
+
+quats = st.builds(Quaternion, *[st.integers(min_value=-3, max_value=3)] * 4)
+polys = st.lists(quats, max_size=4).map(HPOLY.poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_left_algorithms_mirror_right_ones(a, b, c):
+    # conj_poly reverses products (t is central), so it carries right
+    # divisors and multiples to left ones; c is a common left factor
+    f, g = c * a, c * b
+    for x, y in ((f, g), (a, b)):
+        if y:
+            q, r = conj_poly(x).divmod_right(conj_poly(y))
+            assert x.divmod_left(y) == (conj_poly(q), conj_poly(r))
+    assert gcld(f, g) == conj_poly(gcrd(conj_poly(f), conj_poly(g)))
+    if a and b:
+        assert lclm(a, b) == conj_poly(lcrm(conj_poly(a), conj_poly(b)))
+    if f and g:
+        assert lclm(f, g) == conj_poly(lcrm(conj_poly(f), conj_poly(g)))
+
+
+def test_euclid_over_tower_coefficients():
+    # H(t1)_c[t2]: the coefficients are fractions, and conjugation is
+    # not available to derive one side from the other
+    F1 = tower_field(1)
+    s, t1 = tower_field(2).ring.t, F1.t
+    i, j = F1(I), F1(J)
+    cases = [((s * s + j) * (s - t1 * i), (s + 1 / (t1 - j)) * (s - t1 * i)),
+             (s ** 3 + t1, s * j - 1),
+             ((s + i) * (s - j), (s + i) * (s + t1))]
+    gcrds = [s - t1 * i, s.ring.one, s.ring.one]
+    gclds = [s.ring.one, s.ring.one, s + i]
+    for (f, g), d, e in zip(cases, gcrds, gclds):
+        q, r = f.divmod_right(g)
+        assert q * g + r == f and r.degree < g.degree
+        q, r = f.divmod_left(g)
+        assert g * q + r == f and r.degree < g.degree
+        assert gcrd(f, g) == d and gcld(f, g) == e
+        m, u, v = lcrm_with_cofactors(f, g)
+        assert m.is_monic() and f * u == m and g * v == m
+        assert m.degree == f.degree + g.degree - e.degree
+        m = lclm(f, g)
+        assert m.is_monic()
+        assert not m.divmod_right(f)[1] and not m.divmod_right(g)[1]
+        assert m.degree == f.degree + g.degree - d.degree

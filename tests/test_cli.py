@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 
@@ -62,6 +63,8 @@ def test_golden_count():
     assert len(GOLDEN) >= 20
 
 
+LIMIT = sys.get_int_max_str_digits()
+
 # (argv, exit code, exact stderr) for commands that must fail
 GOLDEN_ERRORS = [
     (["canon", "X/(X - X)"], 2,
@@ -74,11 +77,27 @@ GOLDEN_ERRORS = [
      "skewfrac: parse error: unexpected character '\u00b2' (at position 1)\n"),
     (["canon", "t^\u00b2"], 2,
      "skewfrac: parse error: unexpected character '\u00b2' (at position 3)\n"),
+    # a literal rational with a zero denominator is a division by zero too
+    (["canon", "1/0"], 3, "skewfrac: domain error: division by zero\n"),
+    (["canon", "t + 2/0"], 3, "skewfrac: domain error: division by zero\n"),
+    # numbers past the interpreter's int-to-string limit, which stays
+    (["canon", "t + " + "1" * (LIMIT + 1)], 2,
+     f"skewfrac: parse error: number longer than {LIMIT} digits "
+     "(at position 5)\n"),
+    (["canon", "1/" + "1" * (LIMIT + 1)], 2,
+     f"skewfrac: parse error: number longer than {LIMIT} digits "
+     "(at position 1)\n"),
+    (["canon", "99^3000"], 3,
+     f"skewfrac: domain error: result has a number longer than {LIMIT} "
+     "digits\n"),
+    (["components", "t + 99^3000*k"], 3,
+     f"skewfrac: domain error: result has a number longer than {LIMIT} "
+     "digits\n"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,err", GOLDEN_ERRORS,
-                         ids=[" ".join(g[0]) for g in GOLDEN_ERRORS])
+                         ids=[" ".join(g[0])[:40] for g in GOLDEN_ERRORS])
 def test_golden_errors(argv, code, err, capsys):
     assert cli.main(argv) == code
     assert capsys.readouterr() == ("", err)
@@ -179,6 +198,22 @@ def test_batch_deep_let_splices(capsys, monkeypatch):
     monkeypatch.setattr(cli.sys, "stdin", io.StringIO(script))
     assert cli.main([]) == 0
     assert capsys.readouterr() == ("t\n1\n", "")
+
+
+def test_batch_runs_on_after_number_errors(capsys, monkeypatch):
+    script = (f"canon {'1' * (LIMIT + 1)}\ncanon 99^3000\nlet a = 1/0\n"
+              "canon 1/0\ncanon t\n")
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO(script))
+    assert cli.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "t\n"
+    assert err.splitlines() == [
+        f"skewfrac: parse error: number longer than {LIMIT} digits "
+        "(at position 1)",
+        f"skewfrac: domain error: result has a number longer than {LIMIT} "
+        "digits",
+        "skewfrac: domain error: division by zero",
+        "skewfrac: domain error: division by zero"]
 
 
 def test_batch_bad_let(capsys, monkeypatch):

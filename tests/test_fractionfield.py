@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewfrac import (HFRAC, HPOLY, QFRAC, I, J, K, RightFraction,
+from skewfrac import (HFRAC, HPOLY, QFRAC, QPOLY, I, J, K, RightFraction,
                       centralize_denominator, component_decompose,
-                      component_recompose, quat)
+                      component_recompose, quat, tower_field, tower_variable)
 from skewfrac.fractionfield import conj_poly
 
 t = HPOLY.t
@@ -25,6 +25,22 @@ def test_denominator_made_monic():
     x = HFRAC(t, (t - I).scale_left(2 * J))
     assert x.den.is_monic()
     assert x == HFRAC(t, t - I) * HFRAC(HPOLY.constant((2 * J).inverse()))
+
+
+def test_call_coerces_like_the_ring():
+    # num and den take what the ring's operations take
+    assert HFRAC(t, Fraction(1, 2)) == HFRAC(2 * t)
+    assert HFRAC(Fraction(1, 2), t) == HFRAC(HPOLY.one, 2 * t)
+    assert HFRAC(I, t - J) == HFRAC(HPOLY.constant(I), t - J)
+    assert QFRAC(Fraction(1, 3)) * 3 == QFRAC.one
+    F2 = tower_field(2)
+    assert F2(Fraction(1, 3)) * 3 == F2.one
+    assert F2(tower_field(1).t, 2) * 2 == tower_variable(2, 1)
+    for bad in (QPOLY.t, tower_field(1).ring.t, tower_field(1).one, "t"):
+        with pytest.raises(TypeError):
+            HFRAC(bad)
+        with pytest.raises(TypeError):
+            HFRAC(t, bad)
 
 
 def test_zero_denominator_rejected():

@@ -4,7 +4,6 @@ from fractions import Fraction
 from skewfrac import (FreeExpr, I, J, K, MultiPoly, X, eval_free,
                       find_witness, func_eq, phi, quat, sigma, vanishes,
                       y_constant)
-from skewfrac.freealgebra import component_split
 from skewfrac.multipoly import MP_ZERO, T1, T2, T3, T4
 from skewfrac.quaternion import rand_quaternion
 
@@ -127,7 +126,7 @@ def test_component_split():
     rng = random.Random(46)
     for _ in range(20):
         p = sigma(_rand(rng))
-        parts = component_split(p)
+        parts = p.components()
         total = MP_ZERO
         for u, part in zip((quat(1), I, J, K), parts):
             assert all(c.is_rational() for _, c in part.sorted_terms())

@@ -61,7 +61,7 @@ def test_conjugation_antiautomorphism():
 
 def test_real_part():
     q = Quaternion(Fraction(5, 7), 1, -2, 3)
-    assert q.real_part() == Fraction(5, 7)
+    assert q.re == Fraction(5, 7)
     # Re(a) = (a - iai - jaj - kak) / 4
     r = (q - I * q * I - J * q * J - K * q * K) * Fraction(1, 4)
     assert r == quat(Fraction(5, 7))
