@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .quaternion import DivisionRing, power
+from .quaternion import DivisionRing, RingElement
 
 NEG_INF = float("-inf")
 
@@ -60,7 +60,7 @@ class PolyRing:
         return f"{self.coeff!r}_c[{self.var}]"
 
 
-class CentralPoly:
+class CentralPoly(RingElement):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: PolyRing, coeffs: tuple):
@@ -101,10 +101,15 @@ class CentralPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CentralPoly):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient, so hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((id(self.ring), self.coeffs))
 
     # -- ring operations ----------------------------------------------------
@@ -126,18 +131,6 @@ class CentralPoly:
     def __neg__(self):
         return CentralPoly(self.ring, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -154,17 +147,6 @@ class CentralPoly:
                 if bn:
                     out[m + n] = out[m + n] + am * bn
         return CentralPoly(self.ring, tuple(out))
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return power(self, n, self.ring.one)
 
     def scale_left(self, a) -> "CentralPoly":
         return CentralPoly(self.ring, tuple(a * c for c in self.coeffs))

@@ -86,9 +86,12 @@ def _split_options(argv):
                     raise _UsageError(f"{name} expects an integer")
                 raw = argv[i]
             try:
-                setattr(opts, names[name], int(raw))
+                value = int(raw)
             except ValueError:
                 raise _UsageError(f"{name} expects an integer, got {raw!r}")
+            if name == "--max-coeff" and value < 1:
+                raise _UsageError(f"--max-coeff must be at least 1, got {value}")
+            setattr(opts, names[name], value)
         elif arg == "--":
             pos.extend(argv[i + 1:])
             break

@@ -26,7 +26,8 @@ built over it; iterating gives the nested fraction fields in
 from __future__ import annotations
 
 from .centralpoly import CentralPoly, PolyRing, _is_simple, gcrd, lcrm_with_cofactors
-from .quaternion import HH, ONE, QQ, DivisionRing, I, J, K, Quaternion, power
+from .quaternion import (HH, ONE, QQ, DivisionRing, DivisionRingElement, I, J,
+                         K, Quaternion)
 
 
 class FractionField(DivisionRing):
@@ -92,7 +93,7 @@ def _test_constants(coeff: DivisionRing) -> tuple:
     return ()
 
 
-class RightFraction:
+class RightFraction(DivisionRingElement):
     """num * den^-1 with gcrd(num, den) = 1 and den monic."""
 
     __slots__ = ("field", "num", "den")
@@ -125,6 +126,9 @@ class RightFraction:
         return not (self - other)
 
     def __hash__(self) -> int:
+        # a polynomial (denominator 1) equals its numerator, so hashes like it
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def same_value(self, other: "RightFraction") -> bool:
@@ -166,18 +170,6 @@ class RightFraction:
     def __neg__(self):
         return RightFraction(self.field, -self.num, self.den, _reduced=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -198,12 +190,6 @@ class RightFraction:
         _, r, s = lcrm_with_cofactors(other.num, self.den)
         return RightFraction(self.field, self.num * s, other.den * r)
 
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
     def inverse(self) -> "RightFraction":
         # self is reduced, and right divisors of {num, den} don't care
         # about order, so (den, num) is already reduced: only the new
@@ -215,25 +201,6 @@ class RightFraction:
         c = self.field.ring.coeff.inv(self.num.lead())
         return RightFraction(self.field, self.den.scale_right(c),
                              self.num.scale_right(c), _reduced=True)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, self.field.one)
 
     def _coerce(self, value):
         if isinstance(value, RightFraction) and value.field is self.field:

@@ -43,12 +43,12 @@ from functools import lru_cache
 from random import Random
 
 from .multipoly import MultiPoly
-from .quaternion import ONE, ZERO, I, J, K, Quaternion, _coerce
+from .quaternion import ONE, ZERO, I, J, K, Quaternion, RingElement, _coerce
 
 Word = tuple  # of Quaternion, length m+1 for m occurrences of X
 
 
-class FreeExpr:
+class FreeExpr(RingElement):
     __slots__ = ("words",)
 
     def __init__(self, words=()):
@@ -78,18 +78,6 @@ class FreeExpr:
     def __neg__(self):
         return FreeExpr(tuple((-w[0],) + w[1:] for w in self.words))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -101,20 +89,6 @@ class FreeExpr:
                 if joint:
                     words.append(a[:-1] + (joint,) + b[1:])
         return FreeExpr(words)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = FreeExpr(((ONE,),))
-        for _ in range(n):
-            result = result * self
-        return result
 
     def _coerce(self, value):
         if isinstance(value, FreeExpr):
@@ -145,6 +119,12 @@ class FreeExpr:
             sorted(map(_word_key, other.words))
 
     def __hash__(self) -> int:
+        # the empty sum equals 0 and one one-letter word its letter,
+        # so each hashes like that number
+        if not self.words:
+            return hash(0)
+        if len(self.words) == 1 and len(self.words[0]) == 1:
+            return hash(self.words[0][0])
         return hash(tuple(sorted(map(_word_key, self.words))))
 
     def __str__(self) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .quaternion import ONE, ZERO, Quaternion, _coerce, power
+from .quaternion import ONE, ZERO, Quaternion, RingElement, _coerce
 
 Expo = tuple[int, int, int, int]
 
@@ -31,7 +31,7 @@ def _order_key(e: Expo):
     return (sum(e), e)
 
 
-class MultiPoly:
+class MultiPoly(RingElement):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Expo, Quaternion] | Iterable = ()):
@@ -88,16 +88,21 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its coefficient, so hashes like it
+        if self.terms.keys() <= {_ZERO_EXP}:
+            return hash(self.coefficient(_ZERO_EXP))
         return hash(tuple(self.sorted_terms()))
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce_poly(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not other.terms:
@@ -119,20 +124,8 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly._raw({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = self._coerce_poly(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         acc: dict[Expo, Quaternion] = {}
@@ -148,24 +141,13 @@ class MultiPoly:
                     del acc[e]
         return MultiPoly._raw(acc)
 
-    def __rmul__(self, other):
-        other = self._coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return power(self, n, MP_ONE)
-
     def scale_left(self, q: Quaternion) -> "MultiPoly":
         return MultiPoly((e, q * c) for e, c in self.terms.items())
 
     def scale_right(self, q: Quaternion) -> "MultiPoly":
         return MultiPoly((e, c * q) for e, c in self.terms.items())
 
-    def _coerce_poly(self, value):
+    def _coerce(self, value):
         if isinstance(value, MultiPoly):
             return value
         q = _coerce(value)

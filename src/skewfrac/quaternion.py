@@ -13,6 +13,16 @@ positive denominator with gcd(a, b, c, d, den) == 1.  That keeps the
 hot multiplication path on plain integers; the per-coordinate Fraction
 views are exposed as properties (re, im_i, im_j, im_k).
 
+Every exact element type of the package (Quaternion, CentralPoly,
+RightFraction, MultiPoly, FreeExpr) derives from RingElement.  A type
+writes its own +, unary -, * and _coerce, which maps an operand to an
+element of the same ring, or to None when the ring does not take it;
+_coerce(1) is the ring's one.  RingElement derives - and the reflected
+- and * from those, and ** for n >= 0 through `power`, so each takes
+exactly the operands + and * take.  DivisionRingElement adds, for the
+types with inverse(), the right quotient a / b = a * b^-1 and negative
+powers.
+
 The module also defines DivisionRing, the small operation bundle that
 the generic polynomial and fraction machinery is parameterized over,
 with the two base instances QQ (rationals) and HH (quaternions).
@@ -36,7 +46,79 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
-class Quaternion:
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; `one` when n == 0.
+
+    Shared by every exact ring type here.  It starts from the lowest set
+    bit instead of multiplying into `one`, and squares the base only
+    while higher bits remain.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
+
+
+class RingElement:
+    """The operators an exact ring type derives from +, unary -, * and
+    _coerce (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __rmul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        # power returns the one only for n == 0, so build it only then
+        return power(self, n, self._coerce(1) if n == 0 else None)
+
+
+class DivisionRingElement(RingElement):
+    """A RingElement with inverse(): right quotients and negative powers."""
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        # Right quotient a * b^-1; the only division this package uses.
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, n: int):
+        if isinstance(n, int) and n < 0:
+            return self.inverse() ** -n
+        return super().__pow__(n)
+
+
+class Quaternion(DivisionRingElement):
     """Immutable exact rational quaternion."""
 
     __slots__ = ("_a", "_b", "_c", "_d", "_den")
@@ -108,18 +190,6 @@ class Quaternion:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         q = object.__new__(Quaternion)
         q._a = -self._a; q._b = -self._b; q._c = -self._c; q._d = -self._d
@@ -151,6 +221,16 @@ class Quaternion:
             return self * other
         return NotImplemented
 
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, Quaternion):
+            return value
+        if isinstance(value, int):
+            return Quaternion._raw(value, 0, 0, 0, 1)
+        if isinstance(value, Fraction):
+            return Quaternion._raw(value.numerator, 0, 0, 0, value.denominator)
+        return None
+
     def inverse(self) -> "Quaternion":
         """Multiplicative inverse conj(q)/norm(q); raises on zero."""
         n = self._a * self._a + self._b * self._b + self._c * self._c + self._d * self._d
@@ -159,24 +239,6 @@ class Quaternion:
         den = self._den
         return Quaternion._raw(self._a * den, -self._b * den,
                                -self._c * den, -self._d * den, n)
-
-    def __truediv__(self, other):
-        # Right quotient a * b^-1; the only division this package uses.
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return power(self, n, ONE)
 
     # -- involution and norm ----------------------------------------------
 
@@ -228,22 +290,6 @@ class Quaternion:
         return f"Quaternion({str(self)!r})"
 
 
-def power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply; `one` when n == 0.
-
-    Shared by every exact ring type here.  It starts from the lowest set
-    bit instead of multiplying into `one`, and squares the base only
-    while higher bits remain.
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if not n:
-            return one if result is None else result
-        base = base * base
-
 
 def _coord_str(num: int, den: int, sym: str) -> str:
     f = Fraction(num, den)
@@ -254,15 +300,7 @@ def _coord_str(num: int, den: int, sym: str) -> str:
     return f"{f}*{sym}"
 
 
-def _coerce(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, int):
-        return Quaternion._raw(value, 0, 0, 0, 1)
-    if isinstance(value, Fraction):
-        return Quaternion._raw(value.numerator, 0, 0, 0, value.denominator)
-    return None
-
+_coerce = Quaternion._coerce
 
 ZERO = Quaternion()
 ONE = Quaternion(1)

@@ -4,7 +4,7 @@ Each check runs a batch of randomized property instances and reports
 (name, failures, total); a suite is a fixed list of checks.  All
 randomness flows from one seeded Random per check, so output is
 byte-stable for a given seed.  Default batch sizes are the contract
-minimums; they can only be raised, never lowered, by callers.
+minimums.
 
 Suites: identities, ore, fractions, roundtrip, tower, all.
 """

@@ -93,6 +93,11 @@ GOLDEN_ERRORS = [
     (["components", "t + 99^3000*k"], 3,
      f"skewfrac: domain error: result has a number longer than {LIMIT} "
      "digits\n"),
+    # a coefficient bound below 1 leaves nothing to draw from
+    (["selftest", "ore", "--max-coeff", "0"], 2,
+     "skewfrac: --max-coeff must be at least 1, got 0\n"),
+    (["selftest", "ore", "--max-coeff=-1"], 2,
+     "skewfrac: --max-coeff must be at least 1, got -1\n"),
 ]
 
 

@@ -146,6 +146,7 @@ def test_polynomial_embedding_hom():
         g = HPOLY.sample(rng, rng.randint(0, 3), 5)
         assert HFRAC.embed(f) * HFRAC.embed(g) == HFRAC.embed(f * g)
         assert HFRAC.embed(f) + HFRAC.embed(g) == HFRAC.embed(f + g)
+        assert HFRAC.embed(f) == f and hash(HFRAC.embed(f)) == hash(f)
 
 
 def test_str_golden():

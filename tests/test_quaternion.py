@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from skewfrac import HH, I, J, K, ONE, Quaternion, ZERO, quat
+from skewfrac import (HFRAC, HH, HPOLY, QFRAC, QPOLY, FreeExpr, I, J, K,
+                      MultiPoly, ONE, Quaternion, X, ZERO, quat, tower_field)
 from skewfrac.quaternion import power, rand_nonzero_quaternion, rand_quaternion
 
 
@@ -129,15 +130,15 @@ def test_power_makes_no_unused_product(n, products):
 
 
 def test_power_matches_repeated_products():
-    from skewfrac import HFRAC, HPOLY, MultiPoly
     t = HPOLY.t
     bases = [ONE + I - Fraction(1, 2) * K, t - I + J,
              MultiPoly.variable(1) + MultiPoly.constant(I),
-             HFRAC(t + J, t - I)]
+             HFRAC(t + J, t - I), X * I + J]
     for base in bases:
         acc = base ** 0
         for n in range(10):
-            assert base ** n == acc
+            # str too: a FreeExpr keeps its words in order, == ignores it
+            assert base ** n == acc and str(base ** n) == str(acc)
             acc = acc * base
 
 
@@ -147,12 +148,17 @@ numbers = st.one_of(st.integers(-100, 100), rationals, rationals.map(Quaternion)
 
 
 def _forms(x):
-    """x together with the same value as Quaternion, Fraction and int."""
+    """x together with the same value as Quaternion, Fraction and int, and
+    as a constant of every exact type that has one."""
     q = x if isinstance(x, Quaternion) else Quaternion(x)
-    if not q.is_rational():
-        return [x]
-    r = q.re
-    return [x, q, r] + ([r.numerator] if r.denominator == 1 else [])
+    F1, F2 = tower_field(1), tower_field(2)
+    forms = [x, q, HPOLY.constant(q), HFRAC(q), F1(q), F2(F1(q)),
+             MultiPoly.constant(q), FreeExpr.constant(q)]
+    if q.is_rational():
+        r = q.re
+        forms += [r, QPOLY.constant(r), QFRAC(r)]
+        forms += [r.numerator] if r.denominator == 1 else []
+    return forms
 
 
 @given(numbers, numbers)
