@@ -17,7 +17,6 @@ polynomial has degree -infinity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .quaternion import DivisionRing, RingElement
@@ -43,9 +42,6 @@ class PolyRing:
 
     def constant(self, a) -> "CentralPoly":
         return CentralPoly(self, (a,))
-
-    def coerce_rational(self, r) -> "CentralPoly":
-        return CentralPoly(self, (self.coeff.coerce_rational(r),))
 
     def sample(self, rng, deg: int, bound: int) -> "CentralPoly":
         """Random polynomial of degree exactly `deg` (deg < 0 gives 0)."""
@@ -100,11 +96,11 @@ class CentralPoly(RingElement):
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CentralPoly):
+        if not isinstance(other, CentralPoly) or other.ring is not self.ring:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         # a constant equals its coefficient, so hashes like it
@@ -155,13 +151,11 @@ class CentralPoly(RingElement):
         return CentralPoly(self.ring, tuple(c * a for c in self.coeffs))
 
     def _coerce(self, value):
-        if isinstance(value, CentralPoly):
-            return value if value.ring is self.ring else None
-        if isinstance(value, (int, Fraction)):
-            return self.ring.coerce_rational(value)
-        if self.ring.coeff.contains(value):
-            return self.ring.constant(value)
-        return None
+        if isinstance(value, CentralPoly) and value.ring is self.ring:
+            return value
+        # anything the coefficient ring takes is a constant
+        c = self.ring.coeff.coerce(value)
+        return None if c is None else CentralPoly(self.ring, (c,))
 
     # -- division -----------------------------------------------------------
 

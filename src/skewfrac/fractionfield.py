@@ -20,7 +20,10 @@ The sided conventions, fixed throughout:
 
 A FractionField is itself a DivisionRing, so a polynomial ring can be
 built over it; iterating gives the nested fraction fields in
-`tower` (one new central variable per level).
+`tower` (one new central variable per level).  Its coerce takes its
+own fractions and, through the polynomial ring, whatever the
+coefficient field's coerce takes, so values of every level below lift
+in one call.
 """
 
 from __future__ import annotations
@@ -38,10 +41,17 @@ class FractionField(DivisionRing):
         self.name = f"Frac({ring.coeff.name}_c[{ring.var}])"
         self.zero = RightFraction(self, ring.zero, ring.one, _reduced=True)
         self.one = RightFraction(self, ring.one, ring.one, _reduced=True)
+        self.coerce = self.one._coerce
+        # Commuting with i and j already forces all quaternion components
+        # into the rational-function center, at every tower depth; over
+        # a commutative base neither lifts and there is nothing to test.
+        lifted = (self.coerce(I), self.coerce(J))
+        self.central_tests = tuple(c for c in lifted if c is not None)
 
     def __call__(self, num, den=1) -> "RightFraction":
         """Build num * den^-1, canonicalizing; num and den may be anything
-        the ring's operations take (int, Fraction, coefficient)."""
+        the ring's operations take (int, Fraction, a polynomial of the
+        ring, a value of any level below)."""
         coerce = self.ring.one._coerce
         n, d = coerce(num), coerce(den)
         if n is None or d is None:
@@ -56,19 +66,6 @@ class FractionField(DivisionRing):
     def t(self) -> "RightFraction":
         return RightFraction(self, self.ring.t, self.ring.one, _reduced=True)
 
-    def inv(self, a: "RightFraction") -> "RightFraction":
-        return a.inverse()
-
-    def coerce_rational(self, r) -> "RightFraction":
-        return self.embed(self.ring.coerce_rational(r))
-
-    def contains(self, value) -> bool:
-        return isinstance(value, RightFraction) and value.field is self
-
-    def central_test_elements(self) -> tuple:
-        """Fraction-level constants whose centralizer is the center."""
-        return _test_constants(self)
-
     def sample(self, rng, bound) -> "RightFraction":
         # small shapes: deep towers multiply work per level
         num = self.ring.sample(rng, rng.randint(0, 1), bound)
@@ -76,21 +73,6 @@ class FractionField(DivisionRing):
         while not den:
             den = self.ring.sample(rng, 1, bound)
         return RightFraction(self, num, den)
-
-    def __repr__(self):
-        return self.name
-
-
-def _test_constants(coeff: DivisionRing) -> tuple:
-    # Commuting with i and j already forces all quaternion components
-    # into the rational-function center, at every tower depth; over a
-    # commutative base there is nothing to test.
-    if isinstance(coeff, FractionField):
-        inner = _test_constants(coeff.ring.coeff)
-        return tuple(coeff.embed(coeff.ring.constant(c)) for c in inner)
-    if coeff is HH:
-        return (I, J)
-    return ()
 
 
 class RightFraction(DivisionRingElement):
@@ -205,8 +187,8 @@ class RightFraction(DivisionRingElement):
     def _coerce(self, value):
         if isinstance(value, RightFraction) and value.field is self.field:
             return value
-        # anything else the ring takes, a coefficient one tower level
-        # down included, is embedded as a polynomial
+        # anything else the ring takes, a value of any level below
+        # included, is embedded as a polynomial
         poly = self.field.ring.one._coerce(value)
         return None if poly is None else self.field.embed(poly)
 
@@ -220,8 +202,7 @@ class RightFraction(DivisionRingElement):
         inner variables is exactly the center (rational functions of
         the central variables over Q).
         """
-        return all(self * c == c * self
-                   for c in self.field.central_test_elements())
+        return all(self * c == c * self for c in self.field.central_tests)
 
     def __str__(self) -> str:
         if self.den.is_constant():

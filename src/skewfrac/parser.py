@@ -324,7 +324,7 @@ _UNITS = {"i": I, "j": J, "k": K}
 
 
 class _Domain:
-    def num(self, r: Fraction): return HH.coerce_rational(r)
+    def num(self, r: Fraction): return HH.coerce(r)
     def unit(self, q: Quaternion): return q
     def var_x(self): raise ParseError("X not valid here", 0)
     def var_t(self): raise ParseError("t not valid here", 0)

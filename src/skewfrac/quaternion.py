@@ -25,7 +25,11 @@ powers.
 
 The module also defines DivisionRing, the small operation bundle that
 the generic polynomial and fraction machinery is parameterized over,
-with the two base instances QQ (rationals) and HH (quaternions).
+with the two base instances QQ (rationals) and HH (quaternions).  Its
+coerce(value) is the one way a value enters a ring: it returns the
+element or None.  HH.coerce is Quaternion._coerce, and the polynomial
+and fraction types delegate to their coefficient ring's coerce, so a
+value of any lower tower level lifts through every level above it.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Union
-
-_ScalarLike = Union[int, Fraction]
 
 
 def _as_fraction(value) -> Fraction:
@@ -320,8 +321,8 @@ class DivisionRing:
     """Operation bundle for a coefficient domain.
 
     Elements are plain values supporting +, -, *, ==, bool; the
-    descriptor supplies the constants, inversion, rational embedding,
-    and seeded sampling that generic code needs on top of that.
+    descriptor supplies the constants, inversion, coercion and seeded
+    sampling that generic code needs on top of that.
     """
 
     name: str
@@ -329,15 +330,12 @@ class DivisionRing:
     one: object
 
     def inv(self, a):
-        raise NotImplementedError
+        return a.inverse()
 
-    def coerce_rational(self, r: _ScalarLike):
-        """Embed a central rational scalar into the ring."""
+    def coerce(self, value):
+        """value as an element of this ring, or None when the ring does
+        not take it."""
         raise NotImplementedError
-
-    def contains(self, value) -> bool:
-        """Whether value already is an element of this ring."""
-        return False
 
     def sample(self, rng: random.Random, bound: int):
         """Deterministic random element with coordinate size <= bound."""
@@ -355,11 +353,12 @@ class RationalField(DivisionRing):
     def inv(self, a: Fraction) -> Fraction:
         return 1 / a
 
-    def coerce_rational(self, r):
-        return _as_fraction(r)
-
-    def contains(self, value) -> bool:
-        return isinstance(value, Fraction)
+    def coerce(self, value):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        return None
 
     def sample(self, rng, bound):
         return rand_rational(rng, bound)
@@ -369,16 +368,7 @@ class QuaternionDivisionRing(DivisionRing):
     name = "HH"
     zero = ZERO
     one = ONE
-
-    def inv(self, a: Quaternion) -> Quaternion:
-        return a.inverse()
-
-    def coerce_rational(self, r):
-        f = _as_fraction(r)
-        return Quaternion._raw(f.numerator, 0, 0, 0, f.denominator)
-
-    def contains(self, value) -> bool:
-        return isinstance(value, Quaternion)
+    coerce = staticmethod(_coerce)
 
     def sample(self, rng, bound):
         return rand_quaternion(rng, bound)

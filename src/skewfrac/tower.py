@@ -9,7 +9,10 @@ with depth 1 the quaternion case.  Every level is a FractionField and
 therefore a DivisionRing, so the construction is literally iterated.
 All the variables are central at every level: t_l for l < n arrives
 as a nested constant coefficient, and tn itself is central in the
-polynomial ring by construction.
+polynomial ring by construction.  A value of any lower level, a
+quaternion or t_l included, lifts into the depth-n field through its
+coerce (or its call, which also takes a denominator), so
+tower_constant and tower_variable are shorthands.
 
 Arithmetic cost grows steeply with depth (one level-n coefficient
 operation expands into many level-(n-1) field operations), so depth
@@ -44,11 +47,7 @@ def tower_field(depth: int, limit: int = DEFAULT_DEPTH_LIMIT) -> FractionField:
 def tower_constant(depth: int, q: Quaternion,
                    limit: int = DEFAULT_DEPTH_LIMIT) -> RightFraction:
     """The quaternion q embedded as a depth-n constant."""
-    field = tower_field(depth, limit)   # the only check that rejects depth < 1
-    value = q
-    for level in range(1, depth + 1):
-        value = tower_field(level, limit)(value)
-    return value
+    return tower_field(depth, limit)(q)
 
 
 def tower_variable(depth: int, l: int,
@@ -56,8 +55,5 @@ def tower_variable(depth: int, l: int,
     """t_l as an element of the depth-n field (1 <= l <= depth)."""
     if not 1 <= l <= depth:
         raise ValueError("variable index out of range for this depth")
-    field = tower_field(l, limit)
-    value = field.t
-    for level in range(l + 1, depth + 1):
-        value = tower_field(level, limit)(value)
-    return value
+    # a field's call takes only lower levels, and l may be depth itself
+    return tower_field(depth, limit).coerce(tower_field(l, limit).t)

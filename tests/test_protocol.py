@@ -27,10 +27,11 @@ DIVISION_RINGS = {"Quaternion", "RightFraction", "tower_field(2)"}
 
 
 def _operands(name, left=False):
-    # a depth-1 coefficient is a RightFraction like the depth-2 element, so
-    # Python never tries the reflected operator: it works on the right only
-    if left and name == "tower_field(2)":
-        return [3, Fraction(-2, 5)]
+    if name == "tower_field(2)":
+        # a depth-1 coefficient is a RightFraction like the depth-2 element,
+        # so Python never tries the reflected operator: it works on the
+        # right only; a quaternion, from two levels down, works on both
+        return [3, Fraction(-2, 5), J] + ([] if left else [SAMPLES[name][1]])
     return [3, Fraction(-2, 5), SAMPLES[name][1]]
 
 

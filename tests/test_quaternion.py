@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from skewfrac import (HFRAC, HH, HPOLY, QFRAC, QPOLY, FreeExpr, I, J, K,
                       MultiPoly, ONE, Quaternion, X, ZERO, quat, tower_field)
-from skewfrac.quaternion import power, rand_nonzero_quaternion, rand_quaternion
+from skewfrac.quaternion import (QQ, power, rand_nonzero_quaternion,
+                                 rand_quaternion)
 
 
 def test_hamilton_table():
@@ -152,8 +153,8 @@ def _forms(x):
     as a constant of every exact type that has one."""
     q = x if isinstance(x, Quaternion) else Quaternion(x)
     F1, F2 = tower_field(1), tower_field(2)
-    forms = [x, q, HPOLY.constant(q), HFRAC(q), F1(q), F2(F1(q)),
-             MultiPoly.constant(q), FreeExpr.constant(q)]
+    forms = [x, q, HPOLY.constant(q), HFRAC(q), F1(q), F2(F1(q)), F2(q),
+             tower_field(3)(q), MultiPoly.constant(q), FreeExpr.constant(q)]
     if q.is_rational():
         r = q.re
         forms += [r, QPOLY.constant(r), QFRAC(r)]
@@ -179,7 +180,8 @@ def test_norm_zero_iff_zero(a):
 def test_division_ring_descriptor():
     rng = random.Random(4)
     assert HH.zero == ZERO and HH.one == ONE
-    assert HH.coerce_rational(Fraction(2, 3)) == quat(Fraction(2, 3))
-    assert HH.contains(I) and not HH.contains(Fraction(1))
+    assert HH.coerce(Fraction(2, 3)) == quat(Fraction(2, 3))
+    assert HH.coerce(I) is I and HH.coerce(HPOLY.t) is None
+    assert QQ.coerce(3) == 3 and QQ.coerce(I) is None
     a = HH.sample(rng, 5)
     assert HH.inv(a) * a == ONE if a else True

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from skewfrac import (DEFAULT_DEPTH_LIMIT, DepthExceededError, HFRAC, I, J, K,
-                      tower_constant, tower_field, tower_variable)
+from skewfrac import (DEFAULT_DEPTH_LIMIT, DepthExceededError, HFRAC, HPOLY,
+                      I, J, K, ONE, QFRAC, QPOLY, tower_constant, tower_field,
+                      tower_variable)
 from skewfrac.selftest import _rand_tower2
 
 
@@ -37,6 +38,22 @@ def test_variables_and_constants_are_central():
     assert qj * qi == tower_constant(2, -K)
     assert t1.is_central() and t2.is_central()
     assert not qi.is_central()
+
+
+def test_values_of_lower_levels_coerce_through_the_tower():
+    F1, F2, F3 = tower_field(1), tower_field(2), tower_field(3)
+    assert F3(F1.t) == tower_variable(3, 1)
+    assert F2(I) == tower_constant(2, I)
+    assert I + F2.one == F2.one + I
+    assert F2.one == ONE and ONE == F2.one
+    # t is not t1: a polynomial of another ring stays foreign
+    for foreign in (HPOLY.t, HFRAC.t, QPOLY.t):
+        with pytest.raises(TypeError):
+            F2(foreign)
+    with pytest.raises(ValueError):
+        tower_constant(0, I)
+    assert QFRAC(QPOLY.t).is_central()
+    assert not F3(I).is_central()
 
 
 def test_variable_index_range():
