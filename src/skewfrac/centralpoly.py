@@ -17,9 +17,11 @@ polynomial has degree -infinity.
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Sequence
 
-from .quaternion import DivisionRing, RingElement
+from .quaternion import (DivisionRing, RingElement, is_simple, signed_sum,
+                         signed_term)
 
 NEG_INF = float("-inf")
 
@@ -110,10 +112,10 @@ class CentralPoly(RingElement):
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, value):
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, add)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -127,10 +129,10 @@ class CentralPoly(RingElement):
     def __neg__(self):
         return CentralPoly(self.ring, tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, value):
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, mul)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self.ring.zero
@@ -223,13 +225,13 @@ class CentralPoly(RingElement):
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_poly(self.coeffs, self.ring.var, self.ring.coeff.one)
+        return format_poly(self.coeffs, self.ring.var)
 
     def __repr__(self) -> str:
         return f"<{self.ring!r}: {self}>"
 
 
-def format_poly(coeffs: tuple, var: str, one) -> str:
+def format_poly(coeffs: tuple, var: str) -> str:
     """Descending powers, coefficient printed left of the variable.
 
     Frozen elision rules (golden tests depend on these exactly):
@@ -237,48 +239,27 @@ def format_poly(coeffs: tuple, var: str, one) -> str:
     starts with '-' is negated and the term joined with ' - '; a
     coefficient with internal additive structure is parenthesized; the
     exponent is dropped for degree 1; the constant term is spliced in
-    bare, reusing its own leading sign.  Every output re-parses to the
-    same polynomial (rationals print p/q, a rational-literal token).
+    bare, reusing its own leading sign (quaternion.signed_term).  The
+    signs are joined by quaternion.signed_sum, as in every printer.
+    Every output re-parses to the same polynomial (rationals print p/q,
+    a rational-literal token).
     """
-    if not coeffs:
-        return "0"
-    parts = []
-    for n in range(len(coeffs) - 1, -1, -1):
+    terms = []
+    for n in range(len(coeffs) - 1, 0, -1):
         c = coeffs[n]
         if not c:
-            continue
-        if n == 0:
-            # additive splice: a leading '-' belongs to the first summand
-            # of the constant only, so strip it off and rejoin with ' - '
-            text = str(c)
-            if not parts:
-                parts.append(text)
-            elif text.startswith("-"):
-                parts.append(" - " + text[1:])
-            else:
-                parts.append(" + " + text)
             continue
         pow_str = var if n == 1 else f"{var}^{n}"
         text = str(c)
         neg = text.startswith("-")
         if neg:
             text = str(-c)
-        if text == "1":
-            body = pow_str
-        elif _is_simple(text):
-            body = f"{text}*{pow_str}"
-        else:
-            body = f"({text})*{pow_str}"
-        if not parts:
-            parts.append(("-" + body) if neg else body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
-
-
-def _is_simple(text: str) -> bool:
-    """No additive structure (safe as a bare left factor of '*')."""
-    return ("+" not in text) and ("-" not in text) and (" " not in text)
+        if not is_simple(text):
+            text = f"({text})"
+        terms.append((neg, pow_str if text == "1" else f"{text}*{pow_str}"))
+    if coeffs and coeffs[0]:
+        terms.append(signed_term(str(coeffs[0])))
+    return signed_sum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ binding a name to a parsed expression for later lines.
 
 X-context expressions are evaluated straight into the coordinate ring
 H_c[t1..t4] (parser.COORD), never as formal words; `deg` alone needs a
-formal property, the X-degree, and reads it off the parsed expression.
+formal property, the X-degree, and reads it off the parsed expression,
+evaluating only the divisors, for their errors.
 t-context expressions fold their constants to quaternions and are built
 as polynomials in H_c[t]; a fraction is formed, and reduced once, only
 at a `/` by a polynomial.  Parentheses nest at most parser.MAX_NESTING
@@ -17,7 +18,8 @@ deep (deeper is a parse error).
 
 Exit codes: 0 success, 2 parse/usage error, 3 domain error (division
 by zero, depth cap, unknown suite, a result with a number longer than
-the interpreter's int-to-string limit), 4 self-test failure.
+the interpreter's int-to-string limit), 4 self-test failure.  _report
+prints every error line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .centralpoly import CentralPoly, gcrd, lcrm_with_cofactors
 from .errors import DepthExceededError, ParseError, UnknownSuiteError
 from .fractionfield import component_decompose
 from .freealgebra import sigma  # noqa: F401  (re-exported; perfbench traces it here)
-from .parser import CONST, COORD, TCTX, XCTX, classify, evaluate, parse, x_degree
+from .parser import (CONST, COORD, TCTX, XCTX, check_divisors, classify,
+                     evaluate, parse, x_degree)
 from .quaternion import quat
 from .selftest import run_suite
 
@@ -57,7 +60,15 @@ _RESERVED = {"i", "j", "k", "X", "t", "t1", "t2", "t3", "t4", "let"}
 
 
 class _UsageError(Exception):
-    pass
+    """Bad verb, arguments or options; reported without a kind."""
+
+
+class _LineError(Exception):
+    """A batch line shlex cannot split, or a malformed `let`."""
+
+
+class _DomainError(Exception):
+    """A well-formed command without an answer."""
 
 
 class _Options:
@@ -106,13 +117,12 @@ def _split_options(argv):
 # -- expression helpers -------------------------------------------------------
 
 def _eval_node(text: str, bindings, context=None):
-    """(value, context found, parsed node); X-context values are
-    coordinate polynomials."""
+    """(value, context found); X-context values are coordinate polynomials."""
     node = parse(text, bindings)
     found = classify(node)
     if context is not None and found not in (CONST, context):
         raise ParseError(f"expected a {context} expression, found {found}", 1)
-    return evaluate(node, _domain(context or found)), found, node
+    return evaluate(node, _domain(context or found)), found
 
 
 def _domain(context: str) -> str:
@@ -120,20 +130,17 @@ def _domain(context: str) -> str:
 
 
 def _rational_point(text: str, bindings) -> Fraction:
-    value, _, _ = _eval_node(text, bindings, CONST)
+    value, _ = _eval_node(text, bindings, CONST)
     if not value.is_rational():
         raise _DomainError(f"expected a rational point, got {text!r}")
     return value.re
 
 
-def _as_poly(value) -> CentralPoly:
+def _as_poly(text: str, bindings) -> CentralPoly:
+    value, _ = _eval_node(text, bindings, TCTX)
     if not value.is_polynomial():
         raise _DomainError("expected a polynomial, got a genuine fraction")
     return value.num
-
-
-class _DomainError(Exception):
-    pass
 
 
 def _text(value) -> str:
@@ -153,12 +160,12 @@ def _bool_word(b: bool) -> str:
 
 def _cmd_canon(args, opts, bindings, out):
     (expr,) = args
-    value, _, _ = _eval_node(expr, bindings)
+    value, _ = _eval_node(expr, bindings)
     print(_text(value), file=out)
 
 
 def _cmd_eval(args, opts, bindings, out):
-    value, ctx, _ = _eval_node(args[0], bindings)
+    value, ctx = _eval_node(args[0], bindings)
     pts = args[1:]
     if ctx == CONST:
         if pts:
@@ -167,7 +174,7 @@ def _cmd_eval(args, opts, bindings, out):
     elif ctx == XCTX:
         if len(pts) != 1:
             raise _UsageError("X-context eval takes one quaternion point")
-        q, _, _ = _eval_node(pts[0], bindings, CONST)
+        q, _ = _eval_node(pts[0], bindings, CONST)
         result = value.eval(*q.coords())
     elif ctx == TCTX:
         if len(pts) != 1:
@@ -202,7 +209,7 @@ def _cmd_eq(args, opts, bindings, out):
 
 def _cmd_central(args, opts, bindings, out):
     (expr,) = args
-    value, ctx, _ = _eval_node(expr, bindings)
+    value, ctx = _eval_node(expr, bindings)
     if ctx == CONST:
         result = value.is_rational()
     elif ctx == TCTX:
@@ -214,7 +221,7 @@ def _cmd_central(args, opts, bindings, out):
 
 def _cmd_components(args, opts, bindings, out):
     (expr,) = args
-    value, ctx, _ = _eval_node(expr, bindings)
+    value, ctx = _eval_node(expr, bindings)
     if ctx == CONST:
         parts = value.coords()
     elif ctx == TCTX:
@@ -226,11 +233,17 @@ def _cmd_components(args, opts, bindings, out):
 
 def _cmd_deg(args, opts, bindings, out):
     (expr,) = args
-    value, ctx, node = _eval_node(expr, bindings)
+    node = parse(expr, bindings)
+    ctx = classify(node)
+    if ctx == XCTX:
+        # formal, so read off the AST; only the divisors are evaluated,
+        # for canon's errors
+        check_divisors(node)
+        print(x_degree(node), file=out)
+        return
+    value = evaluate(node, ctx)
     if ctx == CONST:
         d = 0 if value else float("-inf")
-    elif ctx == XCTX:
-        d = x_degree(node)
     elif ctx == TCTX:
         d = value.num.degree - value.den.degree if value else float("-inf")
     else:
@@ -239,16 +252,12 @@ def _cmd_deg(args, opts, bindings, out):
 
 
 def _cmd_gcrd(args, opts, bindings, out):
-    e1, e2 = args
-    p1 = _as_poly(_eval_node(e1, bindings, TCTX)[0])
-    p2 = _as_poly(_eval_node(e2, bindings, TCTX)[0])
+    p1, p2 = (_as_poly(e, bindings) for e in args)
     print(_text(gcrd(p1, p2)), file=out)
 
 
 def _cmd_lcrm(args, opts, bindings, out):
-    e1, e2 = args
-    p1 = _as_poly(_eval_node(e1, bindings, TCTX)[0])
-    p2 = _as_poly(_eval_node(e2, bindings, TCTX)[0])
+    p1, p2 = (_as_poly(e, bindings) for e in args)
     if not p1 or not p2:
         raise _DomainError("lcrm requires nonzero polynomials")
     m, u, v = map(_text, lcrm_with_cofactors(p1, p2))
@@ -324,23 +333,24 @@ def _run_command(words, opts, bindings, out) -> int:
     if not lo <= len(args) <= hi:
         raise _UsageError(f"{verb} takes {lo}"
                           + (f"..{hi}" if hi != lo else "") + " argument(s)")
-    code = handler(args, opts, bindings, out)
-    return code or 0
+    return handler(args, opts, bindings, out) or 0
 
 
-def _dispatch(words, opts, bindings, out, err) -> int:
-    try:
-        return _run_command(words, opts, bindings, out)
-    except _UsageError as e:
-        print(f"skewfrac: {e}", file=err)
-        return 2
-    except ParseError as e:
-        print(f"skewfrac: parse error: {e}", file=err)
-        return 2
-    except (_DomainError, DepthExceededError, UnknownSuiteError,
-            ZeroDivisionError) as e:
-        print(f"skewfrac: domain error: {e}", file=err)
-        return 3
+def _report(e: Exception, err) -> int:
+    """Print the one `skewfrac: ...` line of a known error and return its
+    exit code: 2 for usage and parse errors, 3 for domain errors."""
+    if isinstance(e, _UsageError):
+        kind, code = "", 2
+    elif isinstance(e, (ParseError, _LineError)):
+        kind, code = "parse error: ", 2
+    else:
+        kind, code = "domain error: ", 3
+    print(f"skewfrac: {kind}{e}", file=err)
+    return code
+
+
+_KNOWN_ERRORS = (_UsageError, ParseError, _LineError, _DomainError,
+                 DepthExceededError, UnknownSuiteError, ZeroDivisionError)
 
 
 def _batch(opts, stdin, out, err) -> int:
@@ -351,36 +361,27 @@ def _batch(opts, stdin, out, err) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            words = shlex.split(line)
-        except ValueError as e:
-            print(f"skewfrac: parse error: {e}", file=err)
-            first_error = first_error or 2
-            continue
-        if words[0] == "let":
-            code = _bind(words, bindings, err)
-        else:
-            code = _dispatch(words, opts, bindings, out, err)
+            code = _run_line(line, opts, bindings, out)
+        except _KNOWN_ERRORS as e:
+            code = _report(e, err)
         first_error = first_error or code
     return first_error
 
 
-def _bind(words, bindings, err) -> int:
+def _run_line(line, opts, bindings, out) -> int:
+    """Run a command, or bind a name for `let NAME = EXPR`."""
+    try:
+        words = shlex.split(line)
+    except ValueError as e:
+        raise _LineError(e) from None
+    if words[0] != "let":
+        return _run_command(words, opts, bindings, out)
     if len(words) < 4 or words[2] != "=":
-        print("skewfrac: parse error: let NAME = EXPR", file=err)
-        return 2
+        raise _LineError("let NAME = EXPR")
     name = words[1]
     if not name.isidentifier() or name in _RESERVED:
-        print(f"skewfrac: parse error: invalid binding name {name!r}",
-              file=err)
-        return 2
-    try:
-        bindings[name] = parse(" ".join(words[3:]), bindings)
-    except ParseError as e:
-        print(f"skewfrac: parse error: {e}", file=err)
-        return 2
-    except ZeroDivisionError as e:     # a literal like 1/0
-        print(f"skewfrac: domain error: {e}", file=err)
-        return 3
+        raise _LineError(f"invalid binding name {name!r}")
+    bindings[name] = parse(" ".join(words[3:]), bindings)
     return 0
 
 
@@ -389,15 +390,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         opts, pos = _split_options(argv)
-    except _UsageError as e:
-        print(f"skewfrac: {e}", file=sys.stderr)
+        if pos:
+            return _run_command(pos, opts, {}, sys.stdout)
+    except _KNOWN_ERRORS as e:
+        return _report(e, sys.stderr)
+    if sys.stdin.isatty():
+        print(_USAGE, file=sys.stderr)
         return 2
-    if not pos:
-        if sys.stdin.isatty():
-            print(_USAGE, file=sys.stderr)
-            return 2
-        return _batch(opts, sys.stdin, sys.stdout, sys.stderr)
-    return _dispatch(pos, opts, {}, sys.stdout, sys.stderr)
+    return _batch(opts, sys.stdin, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ in one call.
 
 from __future__ import annotations
 
-from .centralpoly import CentralPoly, PolyRing, _is_simple, gcrd, lcrm_with_cofactors
+from operator import add, mul
+
+from .centralpoly import CentralPoly, PolyRing, gcrd, lcrm_with_cofactors
 from .quaternion import (HH, ONE, QQ, DivisionRing, DivisionRingElement, I, J,
-                         K, Quaternion)
+                         K, Quaternion, is_simple)
 
 
 class FractionField(DivisionRing):
@@ -128,10 +130,10 @@ class RightFraction(DivisionRingElement):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def __add__(self, value):
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, add)
         if not self.num:
             return other
         if not other.num:
@@ -152,10 +154,10 @@ class RightFraction(DivisionRingElement):
     def __neg__(self):
         return RightFraction(self.field, -self.num, self.den, _reduced=True)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def __mul__(self, value):
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, mul)
         if not self.num or not other.num:
             return self.field.zero
         if self.den.is_constant():        # den == 1: plain left factor
@@ -205,10 +207,12 @@ class RightFraction(DivisionRingElement):
         return all(self * c == c * self for c in self.field.central_tests)
 
     def __str__(self) -> str:
+        """`num / (den)`, or num for a polynomial; the signs inside are
+        joined by quaternion.signed_sum."""
         if self.den.is_constant():
             return str(self.num)
         num_s = str(self.num)
-        if not _is_simple(num_s):
+        if not is_simple(num_s):
             num_s = f"({num_s})"
         return f"{num_s} / ({self.den})"
 

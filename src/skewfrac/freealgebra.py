@@ -43,7 +43,8 @@ from functools import lru_cache
 from random import Random
 
 from .multipoly import MultiPoly
-from .quaternion import ONE, ZERO, I, J, K, Quaternion, RingElement, _coerce
+from .quaternion import (ONE, ZERO, I, J, K, Quaternion, RingElement, _coerce,
+                         signed_sum)
 
 Word = tuple  # of Quaternion, length m+1 for m occurrences of X
 
@@ -94,9 +95,7 @@ class FreeExpr(RingElement):
         if isinstance(value, FreeExpr):
             return value
         q = _coerce(value)
-        if q is not None:
-            return FreeExpr.constant(q)
-        return None
+        return None if q is None else FreeExpr.constant(q)
 
     # -- structure -------------------------------------------------------------
 
@@ -128,9 +127,8 @@ class FreeExpr(RingElement):
         return hash(tuple(sorted(map(_word_key, self.words))))
 
     def __str__(self) -> str:
-        if not self.words:
-            return "0"
-        return " + ".join(_word_str(w) for w in self.words)
+        """The words joined by quaternion.signed_sum, each with a `+`."""
+        return signed_sum((False, _word_str(w)) for w in self.words)
 
     def __repr__(self) -> str:
         return f"FreeExpr({str(self)!r})"
@@ -211,20 +209,9 @@ def sigma(f: FreeExpr) -> MultiPoly:
     The t_l are central, so the expansion lands in H_c[t1..t4]; f
     vanishes identically on H exactly when the result is zero.
     """
-    acc: dict = {}
-    for w in f.words:
-        if len(w) == 1:
-            part = MultiPoly.constant(w[0])
-        else:
-            part = _sigma_tail(w[1:]).scale_left(w[0])
-        for e, c in part.terms.items():
-            prev = acc.get(e)
-            s = prev + c if prev is not None else c
-            if s:
-                acc[e] = s
-            elif prev is not None:
-                del acc[e]
-    return MultiPoly._raw(acc)
+    parts = (MultiPoly.constant(w[0]) if len(w) == 1
+             else _sigma_tail(w[1:]).scale_left(w[0]) for w in f.words)
+    return MultiPoly(term for part in parts for term in part.terms.items())
 
 
 # ---------------------------------------------------------------------------

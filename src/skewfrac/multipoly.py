@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .quaternion import ONE, ZERO, Quaternion, RingElement, _coerce
+from .quaternion import (ONE, ZERO, Quaternion, RingElement, _coerce,
+                         signed_sum, signed_term)
 
 Expo = tuple[int, int, int, int]
 
@@ -31,22 +32,25 @@ def _order_key(e: Expo):
     return (sum(e), e)
 
 
+def _accumulate(acc: dict, items) -> dict:
+    """Add each (exponent, coefficient) pair into acc, keeping only the
+    nonzero sums; returns acc."""
+    for e, c in items:
+        prev = acc.get(e)
+        s = prev + c if prev is not None else c
+        if s:
+            acc[e] = s
+        elif prev is not None:
+            del acc[e]
+    return acc
+
+
 class MultiPoly(RingElement):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Expo, Quaternion] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Expo, Quaternion] = {}
-        for e, c in items:
-            if not c:
-                continue
-            prev = acc.get(e)
-            c = prev + c if prev is not None else c
-            if c:
-                acc[e] = c
-            elif prev is not None:
-                del acc[e]
-        self.terms = acc
+        self.terms = _accumulate({}, items)
 
     @classmethod
     def _raw(cls, terms: dict) -> "MultiPoly":
@@ -109,15 +113,7 @@ class MultiPoly(RingElement):
             return self
         if not self.terms:
             return other
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = acc.get(e)
-            s = prev + c if prev is not None else c
-            if s:
-                acc[e] = s
-            elif prev is not None:
-                del acc[e]
-        return MultiPoly._raw(acc)
+        return MultiPoly._raw(_accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -128,6 +124,7 @@ class MultiPoly(RingElement):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # _accumulate's loop inline: feeding it a generator is 10-35 % slower
         acc: dict[Expo, Quaternion] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -151,9 +148,7 @@ class MultiPoly(RingElement):
         if isinstance(value, MultiPoly):
             return value
         q = _coerce(value)
-        if q is not None:
-            return MultiPoly.constant(q)
-        return None
+        return None if q is None else MultiPoly.constant(q)
 
     # -- evaluation and components ----------------------------------------------
 
@@ -177,25 +172,17 @@ class MultiPoly(RingElement):
     # -- printing ----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        """The terms in print order (see the module docstring), joined by
+        quaternion.signed_sum; only the constant term carries a sign."""
+        terms = []
         for e, c in self.sorted_terms():
             if e == _ZERO_EXP:
-                text = str(c)
-                if not parts:
-                    parts.append(text)
-                elif text.startswith("-"):
-                    parts.append(" - " + text[1:])
-                else:
-                    parts.append(" + " + text)
+                terms.append(signed_term(str(c)))
                 continue
-            mono = "*".join(
-                f"t{n+1}" if exp == 1 else f"t{n+1}^{exp}"
-                for n, exp in enumerate(e) if exp)
-            body = mono if c == ONE else f"({c})*{mono}"
-            parts.append(body if not parts else " + " + body)
-        return "".join(parts)
+            mono = "*".join(f"t{n+1}" if exp == 1 else f"t{n+1}^{exp}"
+                            for n, exp in enumerate(e) if exp)
+            terms.append((False, mono if c == ONE else f"({c})*{mono}"))
+        return signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r})"

@@ -59,7 +59,7 @@ from .freealgebra import X as FREE_X
 from .freealgebra import FreeExpr, sigma
 from .fractionfield import HFRAC, HPOLY, RightFraction
 from .multipoly import MultiPoly
-from .quaternion import HH, I, J, K, Quaternion
+from .quaternion import HH, ONE, I, J, K, Quaternion
 
 
 # -- AST --------------------------------------------------------------------
@@ -493,6 +493,17 @@ def x_degree(node: Node):
         elif not isinstance(n, Neg):
             degrees.append(1 if isinstance(n, VarX) else 0)
     return degrees[0]
+
+
+def check_divisors(node: Node) -> None:
+    """Raise what evaluate(node, COORD) raises, evaluating only divisors:
+    only a `/` fails there, and the walk meets them in evaluate's order."""
+    coord = _DOMAINS[COORD]
+    for n in _postorder(node):
+        if type(n) is BinOp and n.op == "/":
+            # a divisor with X fails the formal rule before its value is read
+            b = evaluate(n.b, COORD) if x_degree(n.b) <= 0 else None
+            coord.quotient(ONE, b, n)
 
 
 def parse_and_eval(text: str, bindings: Optional[dict] = None,

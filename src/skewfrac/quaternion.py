@@ -21,7 +21,7 @@ _coerce(1) is the ring's one.  RingElement derives - and the reflected
 - and * from those, and ** for n >= 0 through `power`, so each takes
 exactly the operands + and * take.  DivisionRingElement adds, for the
 types with inverse(), the right quotient a / b = a * b^-1 and negative
-powers.
+powers.  Every type prints a sum through signed_sum, the one sign rule.
 
 The module also defines DivisionRing, the small operation bundle that
 the generic polynomial and fraction machinery is parameterized over,
@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from operator import sub, truediv
 
 
 def _as_fraction(value) -> Fraction:
@@ -70,10 +71,10 @@ class RingElement:
 
     __slots__ = ()
 
-    def __sub__(self, other):
-        other = self._coerce(other)
+    def __sub__(self, value):
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, sub)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -94,17 +95,25 @@ class RingElement:
         # power returns the one only for n == 0, so build it only then
         return power(self, n, self._coerce(1) if n == 0 else None)
 
+    def _lifted(self, value, op):
+        """op(self, value) in value's ring, or NotImplemented if it does not
+        take self: a forward operator whose _coerce refused `value` ends
+        here, as two tower levels share one type and Python then never
+        tries the reflected operator."""
+        lifted = value._coerce(self) if isinstance(value, RingElement) else None
+        return NotImplemented if lifted is None else op(lifted, value)
+
 
 class DivisionRingElement(RingElement):
     """A RingElement with inverse(): right quotients and negative powers."""
 
     __slots__ = ()
 
-    def __truediv__(self, other):
+    def __truediv__(self, value):
         # Right quotient a * b^-1; the only division this package uses.
-        other = self._coerce(other)
+        other = self._coerce(value)
         if other is None:
-            return NotImplemented
+            return self._lifted(value, truediv)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -274,18 +283,11 @@ class Quaternion(DivisionRingElement):
         return hash((self._a, self._b, self._c, self._d, self._den))
 
     def __str__(self) -> str:
-        terms = []
-        for num, sym in ((self._a, ""), (self._b, "i"), (self._c, "j"), (self._d, "k")):
-            if num == 0:
-                continue
-            terms.append((num < 0, _coord_str(abs(num), self._den, sym)))
-        if not terms:
-            return "0"
-        neg, body = terms[0]
-        out = [("-" + body) if neg else body]
-        for neg, body in terms[1:]:
-            out.append((" - " if neg else " + ") + body)
-        return "".join(out)
+        """`a + b*i + c*j + d*k` without zero terms, joined by signed_sum."""
+        return signed_sum(
+            (num < 0, _coord_str(abs(num), self._den, sym))
+            for num, sym in ((self._a, ""), (self._b, "i"),
+                             (self._c, "j"), (self._d, "k")) if num)
 
     def __repr__(self) -> str:
         return f"Quaternion({str(self)!r})"
@@ -299,6 +301,31 @@ def _coord_str(num: int, den: int, sym: str) -> str:
     if f == 1:
         return sym
     return f"{f}*{sym}"
+
+
+def signed_sum(terms) -> str:
+    """Join (negative, text) terms as `a - b + c`, `0` when there are none:
+    the sign rule of every printer of the package."""
+    out = []
+    for neg, text in terms:
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(text)
+    return "".join(out) if out else "0"
+
+
+def signed_term(text: str) -> tuple[bool, str]:
+    """A printed constant as a term of a longer sum: its leading '-'
+    belongs to its first summand only and becomes the joining sign
+    (`x + (-1 + i)` prints `x - 1 + i`)."""
+    return (True, text[1:]) if text.startswith("-") else (False, text)
+
+
+def is_simple(text: str) -> bool:
+    """No additive structure (safe as a bare left factor of '*')."""
+    return ("+" not in text) and ("-" not in text) and (" " not in text)
 
 
 _coerce = Quaternion._coerce

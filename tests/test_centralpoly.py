@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewfrac import (HPOLY, I, J, K, ONE, Quaternion, gcld, gcrd, lclm,
-                      lcrm, lcrm_with_cofactors, quat, tower_field)
+from skewfrac import (HPOLY, QPOLY, I, J, K, ONE, Quaternion, gcld, gcrd,
+                      lclm, lcrm, lcrm_with_cofactors, quat, tower_field)
 from skewfrac.fractionfield import conj_poly
 
 from oracles import lcrm_oracle
@@ -36,6 +36,13 @@ def test_format_golden():
     assert str(HPOLY.poly([quat(0), I + J])) == "(i + j)*t"
     assert str(HPOLY.poly([-(I + J), quat(1)])) == "t - i - j"
     assert str(3 * t ** 2 + Fraction(1, 4)) == "3*t^2 + 1/4"
+
+
+def test_format_signs():
+    # a negative coefficient is negated and joined with ' - '; a constant
+    # term keeps its own first sign, the rest of its text as printed
+    assert str(QPOLY.poly([1, Fraction(-1, 2)])) == "-1/2*t + 1"
+    assert str(HPOLY.poly([-1 + I, -1 - I])) == "-(1 + i)*t - 1 + i"
 
 
 def test_divmod_right_and_left():

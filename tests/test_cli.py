@@ -49,6 +49,8 @@ GOLDEN = [
     (["frac", "div", "t - i", "t - i"], "1\n"),
     (["canon", "(2*t + 2*i) / 4"], "1/2*t + 1/2*i\n"),
     (["canon", "((1 + i)/(1 - i))*t"], "i*t\n"),
+    # the X-degree is read off the expression, never expanded
+    (["deg", "X^60"], "60\n"),
 ]
 
 
@@ -71,6 +73,11 @@ GOLDEN_ERRORS = [
      "skewfrac: parse error: can only divide by a constant here "
      "(at position 2)\n"),
     (["canon", "X/(0*X)"], 3, "skewfrac: domain error: division by zero\n"),
+    # deg evaluates the divisors only, with canon's errors
+    (["deg", "X/(X - X)"], 2,
+     "skewfrac: parse error: can only divide by a constant here "
+     "(at position 2)\n"),
+    (["deg", "X/(1 - 1)"], 3, "skewfrac: domain error: division by zero\n"),
     (["canon", "t/(1 - 1)"], 3, "skewfrac: domain error: division by zero\n"),
     # only ASCII digits are digits: int() rejects the others isdigit() accepts
     (["canon", "\u00b2"], 2,
@@ -219,6 +226,13 @@ def test_batch_runs_on_after_number_errors(capsys, monkeypatch):
         "digits",
         "skewfrac: domain error: division by zero",
         "skewfrac: domain error: division by zero"]
+
+
+def test_batch_unreadable_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli.sys, "stdin", io.StringIO('canon "t\ncanon t\n'))
+    assert cli.main([]) == 2
+    assert capsys.readouterr() == (
+        "t\n", "skewfrac: parse error: No closing quotation\n")
 
 
 def test_batch_bad_let(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from skewfrac import sigma
 from skewfrac.errors import ParseError
 from skewfrac.parser import (COORD, XCTX, BinOp, Neg, Num, Pow, Unit, VarX,
-                             evaluate, parse, x_degree)
+                             check_divisors, evaluate, parse, x_degree)
 
 ZERO_X = BinOp("*", Num(Fraction(0)), VarX())               # 0*X
 X_MINUS_X = BinOp("-", VarX(), VarX())                      # X - X
@@ -70,6 +70,33 @@ def test_coordinate_evaluation_matches_sigma_of_the_words(node):
     if words_error is None:
         assert poly == sigma(words)
         assert x_degree(node) == words.x_degree
+
+
+def _error(fn):
+    try:
+        fn()
+    except (ParseError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+def test_check_divisors_raises_what_coordinate_evaluation_raises(node):
+    assume(_words_bound(node) <= 4096)
+    assert _error(lambda: check_divisors(node)) == \
+        _error(lambda: evaluate(node, COORD))
+
+
+def test_check_divisors_keeps_the_order_of_errors():
+    for text in ("X/(X - X) + 1/(1 - 1)", "1/(1 - 1) + X/(X - X)",
+                 "X/((X - X)/(1 - 1))", "X/(1/(X - X))", "X/(0*X)",
+                 "(X + 1/(0*X))/X"):
+        node = parse(text)
+        expected = _error(lambda: evaluate(node, COORD))
+        assert expected is not None, text
+        assert _error(lambda: check_divisors(node)) == expected, text
+    check_divisors(parse("X^60/(2 + i) + X/((X^9)^0)"))
 
 
 def test_x_degree_edge_cases():

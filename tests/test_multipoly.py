@@ -33,6 +33,7 @@ def test_str_golden():
     assert str(T1 * T1 - MP_ONE) == "t1^2 - 1"
     assert str(T1 - T2) == "t1 + (-1)*t2"
     assert str(MultiPoly.constant(quat(Fraction(1, 2)))) == "1/2"
+    assert str(T1 + MultiPoly.constant(-1 + I)) == "t1 - 1 + i"
 
 
 def test_eval():

@@ -1,4 +1,5 @@
 import random
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -54,6 +55,35 @@ def test_values_of_lower_levels_coerce_through_the_tower():
         tower_constant(0, I)
     assert QFRAC(QPOLY.t).is_central()
     assert not F3(I).is_central()
+
+
+def test_depth2_printed_forms():
+    F1, F2 = tower_field(1), tower_field(2)
+    t1 = F1.t
+    p = F2.ring.poly([t1 / (t1 - I), -1, -(t1 - 1)])
+    assert str(p) == "-(t1 - 1)*t2^2 - t2 + t1 / (t1 - i)"
+    assert str(F2(p, F2.ring.t - I)) == \
+        "(-(t1 - 1)*t2^2 - t2 + t1 / (t1 - i)) / (t2 - i)"
+    q, r = p.divmod_right(F2.ring.t - I)
+    assert str(q) == "-(t1 - 1)*t2 - i*t1 - 1 + i"
+    assert str(r) == "(t1^2 - 2*i*t1 - 1 + i) / (t1 - i)"
+
+
+def test_arithmetic_across_tower_levels():
+    # both operands are RightFractions (or CentralPolys), so the lower
+    # level's operator lifts itself into the higher level's ring
+    F1, F2, F3 = tower_field(1), tower_field(2), tower_field(3)
+    for low, high in ((F1.t, F2.t), (F1.t + I, F3.t), (F2.t, F3.t - J)):
+        lifted = high.field(low)
+        for op in (add, sub, mul, truediv):
+            assert op(low, high) == op(lifted, high)
+            assert op(high, low) == op(high, lifted)
+            assert op(low, high).field is high.field
+    product = F1.ring.t * F2.ring.one
+    assert product.ring is F2.ring and product == F2.ring.constant(F1.t)
+    assert F2.ring.t - F1.ring.t == F2.ring.poly([-F1.t, 1])
+    with pytest.raises(TypeError):
+        QPOLY.t + HPOLY.t        # neither ring takes the other
 
 
 def test_variable_index_range():
